@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 DIMACS parse error, 4 timeout,
 5 solver-integrity error, 1 other failure. Every run prints its resolved
-configuration (including defaulted seeds) to stderr first, so any output
-is reproducible from its own log.
+configuration (including defaulted seeds and the backend it uses) to
+stderr before any output, so any output is reproducible from its own log.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .cnf import DimacsParseError, read_dimacs, write_dimacs
 from .experiment import BatchSpec, format_table, run_batch, trend_study, write_csv
-from .generator import GeneratorParams, generate
-from .mu import NotUnsatError, analyze_mu
+from .generator import GeneratorParams, generate, regenerate
+from .mu import NotUnsatError, analyze_cells, analyze_mu
 from .solver import (
     ExternalSolverError,
     SolveTimeoutError,
@@ -32,12 +32,16 @@ EXIT_TIMEOUT = 4
 EXIT_INTEGRITY = 5
 
 
-def _add_backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--backend", choices=["dpll", "brute", "external"], default="dpll")
+SEARCH_BACKENDS = ("dpll", "brute", "external")
+
+
+def _add_backend_flags(p: argparse.ArgumentParser, choices=SEARCH_BACKENDS,
+                       default="dpll", help=None) -> None:
+    p.add_argument("--backend", choices=choices, default=default, help=help)
     p.add_argument("--solver", metavar="CMD", default=None,
                    help="external solver command (implies --backend external)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-solve deadline")
+                   help="per-solve deadline (not used by cells)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="DIMACS CNF file, or - for stdin")
     p.add_argument("--early-exit", action="store_true",
                    help="stop at the first unsat deletion (MU flag only)")
-    _add_backend_flags(p)
+    _add_backend_flags(p, default=None,
+                       help="default: cells if the file's params: comment "
+                            "regenerates it exactly, else dpll")
 
     p = sub.add_parser("experiment", help="batch MU statistics for one (k, g)")
     p.add_argument("-k", type=int, required=True)
@@ -75,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="include solve_millis in the CSV (breaks byte-determinism)")
     p.add_argument("--parallelism", type=int, default=1)
-    _add_backend_flags(p)
+    _add_backend_flags(p, choices=("cells",) + SEARCH_BACKENDS, default="cells")
 
     p = sub.add_parser("trend", help="experiment over ascending g values")
     p.add_argument("-k", type=int, required=True)
@@ -85,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--parallelism", type=int, default=1)
-    _add_backend_flags(p)
+    _add_backend_flags(p, choices=("cells",) + SEARCH_BACKENDS, default="cells")
 
     return parser
 
@@ -110,8 +116,12 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _backend_name(args: argparse.Namespace) -> str:
-    return "external" if args.solver else args.backend
+def _resolve_backend(args: argparse.Namespace, default: str = "dpll") -> None:
+    """Set args.backend to the backend the run uses, so the log names it."""
+    if args.solver:
+        args.backend = "external"
+    elif args.backend is None:
+        args.backend = default
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -132,9 +142,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "solve":
+            _resolve_backend(args)
             _log_config(args)
             formula = read_dimacs(_read_input(args.file))
-            solve = make_backend(_backend_name(args), solver_command=args.solver,
+            solve = make_backend(args.backend, solver_command=args.solver,
                                  timeout=args.timeout)
             result = solve(formula)
             if result.is_sat:
@@ -147,16 +158,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_OK
 
         if args.command == "check-mu":
-            _log_config(args)
             formula = read_dimacs(_read_input(args.file))
-            solve = make_backend(_backend_name(args), solver_command=args.solver,
-                                 timeout=args.timeout)
-            try:
-                report = analyze_mu(formula, solve, early_exit=args.early_exit,
-                                    keep_witnesses=False)
-            except NotUnsatError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            instance = None
+            if args.backend is None and not args.solver:
+                instance = regenerate(formula)
+            _resolve_backend(args, "dpll" if instance is None else "cells")
+            _log_config(args)
+            if instance is not None:
+                report = analyze_cells(instance, early_exit=args.early_exit,
+                                       keep_witnesses=False)
+            else:
+                solve = make_backend(args.backend, solver_command=args.solver,
+                                     timeout=args.timeout)
+                try:
+                    report = analyze_mu(formula, solve, early_exit=args.early_exit,
+                                        keep_witnesses=False)
+                except NotUnsatError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 1
             m = report.clause_count
             lo, hi = report.sat_number_range
             sat_no = str(lo) if lo == hi else f"[{lo}, {hi}]"
@@ -167,10 +186,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "experiment":
             args.base_seed = _resolve_seed(args.base_seed, "--base-seed")
+            _resolve_backend(args)
             _log_config(args)
             spec = BatchSpec(
                 k=args.k, g=args.g, count=args.count, base_seed=args.base_seed,
-                backend=_backend_name(args), solver_command=args.solver,
+                backend=args.backend, solver_command=args.solver,
                 timeout=args.timeout, parallelism=args.parallelism,
             )
             stats = run_batch(spec)
@@ -182,11 +202,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "trend":
             args.base_seed = _resolve_seed(args.base_seed, "--base-seed")
+            _resolve_backend(args)
             _log_config(args)
             g_values = [int(tok) for tok in args.g.split(",") if tok]
             rows = trend_study(
                 args.k, g_values, args.count, args.base_seed,
-                backend=_backend_name(args), solver_command=args.solver,
+                backend=args.backend, solver_command=args.solver,
                 timeout=args.timeout, parallelism=args.parallelism,
             )
             print(format_table(rows))

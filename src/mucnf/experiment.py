@@ -5,14 +5,17 @@ number statistics.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Sequence
 
-from .generator import GeneratorParams, generate
-from .mu import analyze_mu
+from .generator import GeneratorParams, build_instance, generate
+from .mu import analyze_cells, analyze_mu
 from .solver import SolveTimeoutError, make_backend
 
 
@@ -24,9 +27,8 @@ class BatchSpec:
     g: int
     count: int
     base_seed: int
-    backend: str = "dpll"
+    backend: str = "cells"
     solver_command: Optional[str] = None
-    brute_force_cap: int = 24
     timeout: Optional[float] = None
     early_exit: bool = False
     parallelism: int = 1
@@ -79,27 +81,26 @@ class BatchStats:
 def _run_one(args) -> FormulaRecord:
     index, spec = args
     seed = spec.base_seed + index
-    solve = make_backend(
-        spec.backend,
-        solver_command=spec.solver_command,
-        brute_force_cap=spec.brute_force_cap,
-        timeout=spec.timeout,
-    )
-    formula = generate(GeneratorParams(spec.k, spec.g, seed))
+    params = GeneratorParams(spec.k, spec.g, seed)
+    if spec.backend == "cells":
+        analyze = functools.partial(analyze_cells, build_instance(params))
+    else:
+        solve = make_backend(
+            spec.backend, solver_command=spec.solver_command, timeout=spec.timeout
+        )
+        analyze = functools.partial(analyze_mu, generate(params), solve)
     t0 = time.perf_counter()
     try:
-        report = analyze_mu(
-            formula, solve, early_exit=spec.early_exit, keep_witnesses=False
-        )
+        report = analyze(early_exit=spec.early_exit, keep_witnesses=False)
     except SolveTimeoutError:
         # deadline hit on the initial unsat check: nothing decided
         return FormulaRecord(
             index=index,
             seed=seed,
-            clause_count=formula.num_clauses,
+            clause_count=params.num_clauses,
             sat_number=None,
             is_mu=None,
-            deletion_bitmap="x" * formula.num_clauses,
+            deletion_bitmap="x" * params.num_clauses,
             millis=(time.perf_counter() - t0) * 1000.0,
             completed=False,
         )
@@ -119,16 +120,30 @@ def _run_one(args) -> FormulaRecord:
     )
 
 
-def run_batch(spec: BatchSpec) -> BatchStats:
-    """Analyze `spec.count` formulas; deterministic apart from timings."""
-    t0 = time.perf_counter()
-    jobs = [(i, spec) for i in range(spec.count)]
-    if spec.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=spec.parallelism) as pool:
-            records = list(pool.map(_run_one, jobs))
-    else:
-        records = [_run_one(job) for job in jobs]
+def _run_specs(specs: Sequence[BatchSpec]) -> List[BatchStats]:
+    """Analyze every formula of every spec, in order, on one pool of workers.
 
+    The specs share one parallelism. A row's `elapsed` runs from the start
+    until its last formula is done.
+    """
+    t0 = time.perf_counter()
+    jobs = [(i, spec) for spec in specs for i in range(spec.count)]
+    parallelism = max((spec.parallelism for spec in specs), default=1)
+    with contextlib.ExitStack() as stack:
+        if parallelism > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallelism))
+            # on an error, drop the queued formulas of every row
+            stack.callback(pool.shutdown, cancel_futures=True)
+            records = pool.map(_run_one, jobs)
+        else:
+            records = map(_run_one, jobs)
+        return [
+            _aggregate(spec, list(itertools.islice(records, spec.count)), t0)
+            for spec in specs
+        ]
+
+
+def _aggregate(spec: BatchSpec, records: List[FormulaRecord], t0: float) -> BatchStats:
     clause_number = GeneratorParams(spec.k, spec.g, spec.base_seed).num_clauses
     done = [r for r in records if r.completed]
     mu_count = sum(1 for r in done if r.is_mu)
@@ -163,6 +178,11 @@ def run_batch(spec: BatchSpec) -> BatchStats:
     )
 
 
+def run_batch(spec: BatchSpec) -> BatchStats:
+    """Analyze `spec.count` formulas; deterministic apart from timings."""
+    return _run_specs([spec])[0]
+
+
 def trend_study(
     k: int,
     g_values: Sequence[int],
@@ -170,14 +190,17 @@ def trend_study(
     base_seed: int,
     **spec_kwargs,
 ) -> List[BatchStats]:
-    """One batch per g, ascending; row i draws seeds from base_seed + i*count."""
+    """One batch per g, ascending; row i draws seeds from base_seed + i*count.
+
+    All rows share one pool of workers.
+    """
     if list(g_values) != sorted(g_values):
         raise ValueError("g values must be ascending")
-    results = []
-    for i, g in enumerate(g_values):
-        spec = BatchSpec(k=k, g=g, count=count, base_seed=base_seed + i * count, **spec_kwargs)
-        results.append(run_batch(spec))
-    return results
+    specs = [
+        BatchSpec(k=k, g=g, count=count, base_seed=base_seed + i * count, **spec_kwargs)
+        for i, g in enumerate(g_values)
+    ]
+    return _run_specs(specs)
 
 
 def format_table(rows: Sequence[BatchStats]) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__
 from .cnf import Clause, CnfFormula
@@ -126,3 +126,33 @@ def build_instance(params: GeneratorParams) -> GeneratedInstance:
 def generate(params: GeneratorParams) -> CnfFormula:
     """The generated CNF: C1's clauses (all positive) then C2's (all negative)."""
     return build_instance(params).formula
+
+
+def regenerate(formula: CnfFormula) -> Optional[GeneratedInstance]:
+    """The generated instance that `formula` is, rebuilt from its provenance.
+
+    Reads the first `params: k=K g=G seed=S` comment, as build_instance
+    writes it, and returns the rebuilt instance only when its clauses equal
+    `formula`'s exactly. A missing, malformed or out-of-range comment, or a
+    formula that differs, gives None. Sizes are compared before anything is
+    built, so the cost stays proportional to the formula.
+    """
+    line = next((c for c in formula.comments if c.startswith("params:")), None)
+    if line is None:
+        return None
+    fields = line.split()
+    names = ("params:", "k=", "g=", "seed=")
+    if len(fields) != len(names) or not all(map(str.startswith, fields, names)):
+        return None
+    try:
+        k, g, seed = (int(f.split("=", 1)[1]) for f in fields[1:])
+        params = GeneratorParams(k, g, seed)
+    except ValueError:
+        return None
+    clauses = formula.clauses
+    # the clause width bounds k, and so the cost of num_clauses, by the input
+    if (params.num_variables != formula.num_variables or not clauses
+            or len(clauses[0]) != k or params.num_clauses != len(clauses)):
+        return None
+    instance = build_instance(params)
+    return instance if instance.formula.clauses == clauses else None

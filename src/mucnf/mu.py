@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from .cnf import Assignment, CnfFormula, evaluate
-from .generator import GeneratedInstance, GeneratorParams, build_instance
+from .generator import GeneratedInstance
 from .solver import SolveResult, SolveTimeoutError, SolverIntegrityError
 
 SolveFn = Callable[[CnfFormula], SolveResult]
@@ -108,12 +108,13 @@ def analyze_mu(
     outcomes: list[Optional[bool]] = [None] * m
     witnesses: Dict[int, Assignment] = {}
     for i in range(m):
+        reduced = delete_clause(formula, i)
         try:
-            result = solve(delete_clause(formula, i))
+            result = solve(reduced)
         except SolveTimeoutError:
             continue
         if result.is_sat:
-            if not evaluate(delete_clause(formula, i), result.model):
+            if not evaluate(reduced, result.model):
                 raise SolverIntegrityError(
                     f"backend returned a non-verifying model for deletion {i}"
                 )
@@ -127,31 +128,149 @@ def analyze_mu(
     return MuReport(m, tuple(outcomes), witnesses)
 
 
-def first_deletion_witness(
-    source: GeneratorParams | GeneratedInstance, solve: SolveFn
-) -> Tuple[bool, Optional[Assignment]]:
-    """Search for a witness of the canonical first-clause deletion.
+def analyze_cells(
+    instance: GeneratedInstance,
+    early_exit: bool = False,
+    keep_witnesses: bool = True,
+) -> MuReport:
+    """analyze_mu's report for a generated instance, by max-flow instead of search.
 
-    The generated formula's clause 0 is the positive clause on variables
-    1..k. This drops it, pins those k variables false and the rest of the
-    first cell true (the assignment shape whose cell counts no longer
-    force unsatisfiability), and lets the solver settle the remaining
-    cells. Returns (found, verified assignment or None); found=False only
-    means no witness of this restricted shape exists.
+    The counting argument leaves every assignment violating some clause, so
+    deleting the positive clause S of p-cell P* leaves a satisfiable formula
+    iff some assignment violates S alone: S false, P*\\S true, every other
+    p-cell with at most k-1 false variables and every q-cell with at most
+    k-1 true ones. Q_j then needs d_j = max(0, |Q_j| - (k-1) - |S ∩ Q_j|)
+    false variables from the other p-cells, each of which can give at most
+    k-1 in all and |P_i ∩ Q_j| to Q_j. The deletion is sat iff that flow
+    meets every d_j, and the flow says how many variables of each P_i ∩ Q_j
+    the witness makes false. Negative clauses are the same with p and q,
+    and true and false, swapped.
+
+    One flow serves every clause with the same side, cell and profile
+    |S ∩ Q_j|. As in analyze_mu, every witness is re-verified with
+    evaluate() against the formula with that clause deleted, early_exit
+    stops at the first unsat deletion, and keep_witnesses keeps the models.
     """
-    instance = source if isinstance(source, GeneratedInstance) else build_instance(source)
-    params = instance.params
-    reduced = delete_clause(instance.formula, 0)
-    first_cell = instance.p_cells[0]
-    units = tuple(
-        (-v,) if v <= params.k else (v,) for v in first_cell
-    )
-    constrained = CnfFormula(
-        reduced.num_variables, units + reduced.clauses, reduced.comments
-    )
-    result = solve(constrained)
-    if not result.is_sat:
-        return False, None
-    if not evaluate(reduced, result.model):
-        raise SolverIntegrityError("witness search returned a non-verifying model")
-    return True, result.model
+    formula = instance.formula
+    k = instance.params.k
+    n = formula.num_variables
+    layouts = (instance.p_cells, instance.q_cells)
+    g = len(instance.p_cells)
+    cell_of = ([0] * (n + 1), [0] * (n + 1))
+    for side in (0, 1):
+        for c, cell in enumerate(layouts[side]):
+            for v in cell:
+                cell_of[side][v] = c
+    # Side 0 decides positive deletions: its columns are the q-cells and its
+    # rows the p-cells; side 1 swaps them. grids[side][col][row] lists the
+    # variables in both cells, ascending: those a flow from col to row flips.
+    by_q = [[[] for _ in range(g)] for _ in range(g)]
+    for v in range(1, n + 1):
+        by_q[cell_of[1][v]][cell_of[0][v]].append(v)
+    grids = (by_q, [list(col) for col in zip(*by_q)])
+    caps = tuple([[len(vs) for vs in col] for col in grid] for grid in grids)
+    sizes = tuple([len(cell) for cell in layouts[1 - side]] for side in (0, 1))
+
+    m = len(formula.clauses)
+    outcomes: list[Optional[bool]] = [None] * m
+    witnesses: Dict[int, Assignment] = {}
+    flows: Dict[tuple, Optional[Dict[Tuple[int, int], int]]] = {}
+    for i, clause in enumerate(formula.clauses):
+        side = 0 if clause[0] > 0 else 1
+        home = cell_of[side][abs(clause[0])]
+        profile = [0] * g
+        for lit in clause:
+            profile[cell_of[1 - side][abs(lit)]] += 1
+        key = (side, home, tuple(profile))
+        if key not in flows:
+            flows[key] = _cell_flow(caps[side], sizes[side], home, profile, k)
+        flow = flows[key]
+        if flow is None:
+            outcomes[i] = False
+            if early_exit:
+                break
+            continue
+        fill = side == 0
+        witness = dict.fromkeys(range(1, n + 1), fill)
+        for lit in clause:
+            witness[abs(lit)] = not fill
+        for (col, row), units in flow.items():
+            for v in grids[side][col][row][:units]:
+                witness[v] = not fill
+        if not evaluate(delete_clause(formula, i), witness):
+            raise SolverIntegrityError(
+                f"cell flow gave a non-verifying model for deletion {i}"
+            )
+        outcomes[i] = True
+        if keep_witnesses:
+            witnesses[i] = witness
+    return MuReport(m, tuple(outcomes), witnesses)
+
+
+def _cell_flow(
+    cap: list, col_sizes: list, home: int, profile: list, k: int
+) -> Optional[Dict[Tuple[int, int], int]]:
+    """Units per (column, row) of a flow meeting every column's demand, or None.
+
+    Column j demands max(0, col_sizes[j] - (k-1) - profile[j]) units; row i
+    takes at most k-1 in all (none for `home`) and at most cap[j][i] from
+    column j. Columns are filled one at a time along shortest augmenting
+    paths. A column with no augmenting path left never gains one later, so
+    the first such column proves the demands cannot all be met.
+    """
+    g = len(col_sizes)
+    spare = [k - 1] * g
+    spare[home] = 0     # pinned by the deleted clause: a dead end for paths
+    flow = [[0] * g for _ in range(g)]
+    for start in range(g):
+        need = col_sizes[start] - (k - 1) - profile[start]
+        while need > 0:
+            # nodes: columns 0..g-1, rows g..2g-1; forward edges column ->
+            # row with room, backward edges row -> column along used flow
+            parent = [-1] * (2 * g)
+            parent[start] = start
+            queue = [start]
+            end = -1
+            for node in queue:
+                if node < g:
+                    for row in range(g):
+                        if parent[g + row] < 0 and flow[node][row] < cap[node][row]:
+                            parent[g + row] = node
+                            if spare[row]:
+                                end = row
+                                break
+                            queue.append(g + row)
+                    if end >= 0:
+                        break
+                else:
+                    row = node - g
+                    for col in range(g):
+                        if parent[col] < 0 and flow[col][row]:
+                            parent[col] = node
+                            queue.append(col)
+            if end < 0:
+                return None
+            push, row = min(need, spare[end]), end
+            while True:
+                col = parent[g + row]
+                push = min(push, cap[col][row] - flow[col][row])
+                if col == start:
+                    break
+                row = parent[col] - g
+                push = min(push, flow[col][row])
+            row = end
+            while True:
+                col = parent[g + row]
+                flow[col][row] += push
+                if col == start:
+                    break
+                row = parent[col] - g
+                flow[col][row] -= push
+            spare[end] -= push
+            need -= push
+    return {
+        (col, row): units
+        for col, units_by_row in enumerate(flow)
+        for row, units in enumerate(units_by_row)
+        if units
+    }

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines as they complete. The statistical batches (criteria 4-6) take
-several minutes on one core.
+lines as they complete. The statistical batches (criteria 4-6) run on the
+default `cells` backend; criterion 4 repeats its batch under DPLL, which
+takes most of the suite's time.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 from mucnf.cli import main
 from mucnf.cnf import CnfFormula, evaluate
 from mucnf.generator import GeneratorParams, build_instance, generate
-from mucnf.mu import analyze_mu, delete_clause
+from mucnf.mu import analyze_cells, analyze_mu, delete_clause
 from mucnf.solver import solve_brute_force, solve_dpll
 from mucnf.experiment import BatchSpec, run_batch, trend_study
 from tests.cell_oracle import deletion_outcomes
@@ -27,7 +28,8 @@ def report(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def row1_batch():
-    # criterion 4's 500-formula batch at (3, 5); reused by criterion 6
+    # criterion 4's 500-formula batch at (3, 5), on the default cells
+    # backend; reused by criterion 6
     return run_batch(BatchSpec(3, 5, 500, 20260826))
 
 
@@ -91,10 +93,12 @@ def test_criterion_3_oracle_equivalence():
 def test_criterion_4_row1_statistics(row1_batch):
     s = row1_batch
     # every formula's deletion verdicts agree with the counting oracle,
-    # which shares no code with the SAT backends
+    # which shares no code with the SAT backends, and with a DPLL search
+    # over every deletion of the same 500 formulas
+    dpll = run_batch(BatchSpec(3, 5, 500, 20260826, backend="dpll"))
     disagreements = sum(
-        1 for r in s.per_formula
-        if r.deletion_bitmap != "".join(
+        1 for r, d in zip(s.per_formula, dpll.per_formula)
+        if not r.deletion_bitmap == d.deletion_bitmap == "".join(
             "1" if sat else "0"
             for sat in deletion_outcomes(build_instance(GeneratorParams(3, 5, r.seed))))
     )
@@ -105,7 +109,7 @@ def test_criterion_4_row1_statistics(row1_batch):
               f"mean={s.mean_sat_no:.2f} (want [50.8, 51.8]), "
               f"std={s.std_dev_sat_no:.2f} (want [1.0, 2.2]), "
               f"{disagreements} of {len(s.per_formula)} formulas disagree "
-              f"with the counting oracle")
+              f"with the counting oracle or DPLL")
     report("criterion 4",
            ok_mu and ok_mean and ok_std and disagreements == 0, detail)
     assert disagreements == 0, detail
@@ -140,7 +144,7 @@ def test_criterion_5_trend(trend_batches):
 
 def test_criterion_6_mu_report_soundness(row1_batch, trend_batches):
     # iff-invariant over every completed report in the batches above;
-    # analyze_mu already re-verified every sat witness with evaluate()
+    # analyze_cells already re-verified every sat witness with evaluate()
     # during those runs (a non-verifying model raises, aborting the batch)
     records = list(row1_batch.per_formula)
     for b in trend_batches:
@@ -151,12 +155,13 @@ def test_criterion_6_mu_report_soundness(row1_batch, trend_batches):
     # explicit witness re-verification on a retained-witness subsample
     checked = 0
     for seed in range(20):
-        f = generate(GeneratorParams(3, 5, 20260826 + seed))
-        rep = analyze_mu(f, solve_dpll, keep_witnesses=True)
-        for i, sat in enumerate(rep.deletion_sat):
-            if sat:
-                assert evaluate(delete_clause(f, i), rep.witnesses[i])
-                checked += 1
+        inst = build_instance(GeneratorParams(3, 5, 20260826 + seed))
+        f = inst.formula
+        for rep in (analyze_cells(inst), analyze_mu(f, solve_dpll)):
+            for i, sat in enumerate(rep.deletion_sat):
+                if sat:
+                    assert evaluate(delete_clause(f, i), rep.witnesses[i])
+                    checked += 1
     assert report("criterion 6", True,
                   f"iff-invariant on {len(records)} reports; "
                   f"{checked} witnesses re-verified independently")
@@ -186,12 +191,15 @@ def test_criterion_7_cell_counting():
 
 def test_criterion_8_determinism(tmp_path, capsys):
     texts = []
-    for name in ("run1.csv", "run2.csv"):
+    # two runs on the default backend, then one under DPLL
+    for name, extra in (("run1.csv", []), ("run2.csv", []),
+                        ("dpll.csv", ["--backend", "dpll"])):
         csv = tmp_path / name
         code = main(["experiment", "-k", "3", "-g", "5", "-n", "50",
-                     "--base-seed", "42", "--csv", str(csv)])
+                     "--base-seed", "42", "--csv", str(csv)] + extra)
         assert code == 0
         texts.append(csv.read_text())
     capsys.readouterr()
-    assert report("criterion 8", texts[0] == texts[1],
-                  "two experiment runs produced byte-identical CSV")
+    assert report("criterion 8", texts[0] == texts[1] == texts[2],
+                  "two experiment runs and a --backend dpll run produced "
+                  "byte-identical CSV")

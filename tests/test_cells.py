@@ -1,0 +1,84 @@
+"""The cells analysis against every other way of deciding a deletion.
+
+analyze_cells decides each single-clause deletion of a generated instance
+by a max-flow on its cell graph. It must return exactly the MuReport that a
+SAT search returns: deletion by deletion against brute force on small
+instances, against DPLL at (3, 5) and (3, 8), and against the counting
+oracle of tests/cell_oracle.py on hundreds of formulas.
+"""
+
+import pytest
+
+import mucnf.mu
+from mucnf.generator import GeneratorParams, build_instance
+from mucnf.mu import analyze_cells, analyze_mu, delete_clause
+from mucnf.cnf import evaluate
+from mucnf.solver import SolverIntegrityError, solve_brute_force, solve_dpll
+from tests.cell_oracle import deletion_outcomes
+
+
+@pytest.mark.parametrize("k,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_matches_brute_force_deletion_by_deletion(k, g):
+    verdicts = set()
+    for seed in range(50):
+        inst = build_instance(GeneratorParams(k, g, seed))
+        f = inst.formula
+        want = tuple(
+            solve_brute_force(delete_clause(f, i)).is_sat for i in range(f.num_clauses)
+        )
+        assert analyze_cells(inst).deletion_sat == want, seed
+        verdicts.update(want)
+    if g > 1:
+        # both verdicts occur, so the comparison is not vacuous
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("g,count", [(5, 20), (8, 2)])
+def test_matches_dpll_report(g, count):
+    for seed in range(count):
+        inst = build_instance(GeneratorParams(3, g, 9000 + seed))
+        want = analyze_mu(inst.formula, solve_dpll, keep_witnesses=False)
+        assert analyze_cells(inst, keep_witnesses=False) == want, seed
+
+
+@pytest.mark.parametrize("k,g,count", [(3, 5, 500), (4, 3, 50)])
+def test_matches_counting_oracle(k, g, count):
+    mu = 0
+    for seed in range(count):
+        inst = build_instance(GeneratorParams(k, g, 777 + seed))
+        report = analyze_cells(inst, keep_witnesses=False)
+        assert report.deletion_sat == deletion_outcomes(inst), seed
+        mu += report.is_mu
+    assert 0 < mu < count
+
+
+def test_witnesses_verify():
+    inst = build_instance(GeneratorParams(3, 5, 4))
+    report = analyze_cells(inst)
+    assert set(report.witnesses) == {
+        i for i, sat in enumerate(report.deletion_sat) if sat
+    }
+    for i, witness in report.witnesses.items():
+        assert evaluate(delete_clause(inst.formula, i), witness)
+    assert analyze_cells(inst, keep_witnesses=False).witnesses == {}
+
+
+def test_early_exit_stops_at_first_unsat():
+    for seed in range(20):
+        inst = build_instance(GeneratorParams(3, 5, seed))
+        full = analyze_cells(inst)
+        fast = analyze_cells(inst, early_exit=True)
+        assert fast.is_mu == full.is_mu
+        if full.is_mu:
+            assert fast == full
+        else:
+            first = full.deletion_sat.index(False)
+            assert fast.deletion_sat[:first + 1] == full.deletion_sat[:first + 1]
+            assert fast.undecided == tuple(range(first + 1, full.clause_count))
+
+
+def test_tampered_witness_is_integrity_error(monkeypatch):
+    # a flow that claims every deletion sat without moving any variable
+    monkeypatch.setattr(mucnf.mu, "_cell_flow", lambda *args: {})
+    with pytest.raises(SolverIntegrityError, match="deletion 0"):
+        analyze_cells(build_instance(GeneratorParams(3, 5, 1)))

@@ -73,6 +73,13 @@ class TestSolve:
         assert code == 0
         assert "UNSAT" in out
 
+    def test_log_names_external_backend(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        code, _, err = run(capsys, "solve", str(path), "--solver", "/bin/true")
+        assert code == 1  # no status line
+        assert "backend=external" in err
+
     def test_brute_backend(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")
@@ -103,6 +110,39 @@ class TestCheckMu:
         assert code == 1
         assert "satisfiable" in err
 
+    def test_generated_file_uses_cells(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        run(capsys, "generate", "-k", "3", "-g", "5", "--seed", "11", "-o", str(path))
+        code, out, err = run(capsys, "check-mu", str(path))
+        assert code == 0
+        assert "backend=cells" in err
+        code, dpll_out, err = run(capsys, "check-mu", str(path), "--backend", "dpll")
+        assert code == 0
+        assert "backend=dpll" in err
+        assert out == dpll_out
+
+    @pytest.mark.parametrize("params", [
+        "params: k=3 g=5 seed=12",             # regenerates a different formula
+        "params: k=3 g=5 seed=banana",         # malformed
+        "params: k=3 g=500000000000 seed=11",  # out of range
+    ])
+    def test_unmatched_provenance_falls_back_to_dpll(self, tmp_path, capsys, params):
+        path = tmp_path / "f.cnf"
+        run(capsys, "generate", "-k", "3", "-g", "5", "--seed", "11", "-o", str(path))
+        _, want, _ = run(capsys, "check-mu", str(path))
+        path.write_text(path.read_text().replace("params: k=3 g=5 seed=11", params))
+        code, out, err = run(capsys, "check-mu", str(path))
+        assert code == 0
+        assert "backend=dpll" in err
+        assert out == want
+
+    def test_early_exit_on_generated_file(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        run(capsys, "generate", "-k", "3", "-g", "5", "--seed", "0", "-o", str(path))
+        outs = [run(capsys, "check-mu", str(path), "--early-exit", *extra)[1]
+                for extra in ((), ("--backend", "dpll"))]
+        assert outs[0] == outs[1]
+
     def test_rerun_is_identical(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         run(capsys, "generate", "-k", "2", "-g", "2", "--seed", "5", "-o", str(path))
@@ -128,6 +168,19 @@ class TestExperiment:
             csv = tmp_path / name
             run(capsys, "experiment", "-k", "2", "-g", "2", "-n", "5",
                 "--base-seed", "42", "--csv", str(csv))
+            texts.append(csv.read_text())
+        assert texts[0] == texts[1]
+
+
+    def test_cells_and_dpll_csv_identical(self, tmp_path, capsys):
+        texts = []
+        for backend in ("cells", "dpll"):
+            csv = tmp_path / f"{backend}.csv"
+            code, _, err = run(capsys, "experiment", "-k", "3", "-g", "3", "-n", "8",
+                               "--base-seed", "5", "--csv", str(csv),
+                               "--backend", backend)
+            assert code == 0
+            assert f"backend={backend}" in err
             texts.append(csv.read_text())
         assert texts[0] == texts[1]
 

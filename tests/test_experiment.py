@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import statistics
 
@@ -60,6 +61,17 @@ class TestRunBatch:
         b = run_batch(small_spec(count=4, parallelism=2))
         assert [r.sat_number for r in a.per_formula] == [r.sat_number for r in b.per_formula]
 
+    def test_cells_matches_dpll(self):
+        strip = lambda s: [
+            (r.seed, r.clause_count, r.sat_number, r.is_mu, r.deletion_bitmap)
+            for r in s.per_formula
+        ]
+        for spec in (small_spec(count=10), small_spec(k=3, g=3, count=5),
+                     small_spec(count=10, early_exit=True)):
+            cells = run_batch(spec)
+            dpll = run_batch(dataclasses.replace(spec, backend="dpll"))
+            assert strip(cells) == strip(dpll)
+
     def test_early_exit_gives_mu_percent_only(self):
         stats = run_batch(small_spec(early_exit=True))
         assert stats.mean_sat_no is None
@@ -72,8 +84,9 @@ class TestRunBatch:
         assert full.mu_percent == fast.mu_percent
 
     def test_timeouts_excluded_not_dropped(self):
-        # impossibly small deadline: every deletion solve times out
-        stats = run_batch(BatchSpec(3, 8, 2, 5, timeout=1e-9))
+        # impossibly small deadline: every deletion solve times out (the
+        # deadline applies to search backends only)
+        stats = run_batch(BatchSpec(3, 8, 2, 5, backend="dpll", timeout=1e-9))
         assert stats.excluded == 2
         assert stats.completed == 0
         assert len(stats.per_formula) == 2
@@ -93,6 +106,14 @@ class TestTrendStudy:
         rows = trend_study(2, [1, 2], 3, 50)
         assert [r.g for r in rows] == [1, 2]
         assert all(r.count == 3 for r in rows)
+
+    def test_parallel_matches_serial(self):
+        def rows(stats):
+            return [(s.g, [(r.seed, r.deletion_bitmap) for r in s.per_formula])
+                    for s in stats]
+
+        serial = trend_study(2, [1, 2, 3], 4, 20)
+        assert rows(trend_study(2, [1, 2, 3], 4, 20, parallelism=2)) == rows(serial)
 
     def test_degenerate_single_g(self):
         rows = trend_study(3, [1], 2, 9)

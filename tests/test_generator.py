@@ -3,13 +3,14 @@ from math import comb
 
 import pytest
 
-from mucnf.cnf import CnfFormula, evaluate, write_dimacs
+from mucnf.cnf import CnfFormula, evaluate, read_dimacs, write_dimacs
 from mucnf.generator import (
     GeneratorParams,
     build_instance,
     cell_clauses,
     generate,
     partition_in_order,
+    regenerate,
 )
 from mucnf.solver import solve_brute_force
 
@@ -131,6 +132,44 @@ class TestGenerate:
             for seed in range(5):
                 f = generate(GeneratorParams(k, g, seed))
                 assert solve_brute_force(f).status == "unsat"
+
+
+class TestRegenerate:
+    def test_round_trip_through_dimacs(self):
+        for params in (GeneratorParams(2, 1, 0), GeneratorParams(3, 5, 2**64 - 1)):
+            inst = regenerate(read_dimacs(write_dimacs(generate(params))))
+            assert inst == build_instance(params)
+
+    def test_extra_comments_are_ignored(self):
+        f = generate(GeneratorParams(3, 4, 8))
+        g = CnfFormula(f.num_variables, f.clauses, ("renamed", "params: k=3 g=4 seed=8"))
+        assert regenerate(g).params == GeneratorParams(3, 4, 8)
+
+    @pytest.mark.parametrize("comment", [
+        None,
+        "params: k=3 g=5",
+        "params: k=3 g=5 seed=7 extra=1",
+        "params: g=5 k=3 seed=7",
+        "params: k=three g=5 seed=7",
+        "params: k=3 g=5 seed=-7",
+        "params: k=3 g=5 seed=18446744073709551616",
+        "params: k=1 g=5 seed=7",
+        "params: k=3 g=0 seed=7",
+        "params: k=3 g=999999999999999999999999 seed=7",
+        "params: k=3 g=5 seed=8",
+        "params: k=3 g=4 seed=7",
+        "params: k=4 g=5 seed=7",
+    ])
+    def test_anything_but_its_own_provenance_gives_none(self, comment):
+        f = generate(GeneratorParams(3, 5, 7))
+        comments = (comment,) if comment else ()
+        assert regenerate(CnfFormula(f.num_variables, f.clauses, comments)) is None
+
+    def test_changed_clauses_give_none(self):
+        f = generate(GeneratorParams(3, 5, 7))
+        swapped = f.clauses[1:2] + f.clauses[:1] + f.clauses[2:]
+        assert regenerate(CnfFormula(f.num_variables, swapped, f.comments)) is None
+        assert regenerate(CnfFormula(f.num_variables, f.clauses[:-1], f.comments)) is None
 
 
 def cell_count_ok(cells, sigma, k, want_false):

@@ -3,14 +3,8 @@ import itertools
 import pytest
 
 from mucnf.cnf import CnfFormula, evaluate
-from mucnf.generator import GeneratorParams, build_instance, generate
-from mucnf.mu import (
-    MuReport,
-    NotUnsatError,
-    analyze_mu,
-    delete_clause,
-    first_deletion_witness,
-)
+from mucnf.generator import GeneratorParams, generate
+from mucnf.mu import MuReport, NotUnsatError, analyze_mu, delete_clause
 from mucnf.solver import SolveTimeoutError, solve_brute_force, solve_dpll
 
 
@@ -121,42 +115,3 @@ class TestAnalyzeMu:
             "is_mu": True,
             "deletion_bitmap": "11",
         }
-
-
-class TestFirstDeletionWitness:
-    def test_witness_matches_analyze_mu(self):
-        for seed in range(10):
-            params = GeneratorParams(3, 5, seed)
-            inst = build_instance(params)
-            report = analyze_mu(inst.formula, solve_dpll, keep_witnesses=False)
-            found, witness = first_deletion_witness(inst, solve_dpll)
-            if found:
-                assert report.deletion_sat[0] is True
-                assert all(witness[v] is False for v in range(1, 4))
-                assert evaluate(delete_clause(inst.formula, 0), witness)
-
-    def test_witness_false_count_bound(self):
-        # a witness can have at most (k-1)g + 1 false variables in total
-        params = GeneratorParams(3, 5, 2)
-        found, witness = first_deletion_witness(params, solve_dpll)
-        if found:
-            false_count = sum(1 for v in witness.values() if not v)
-            assert false_count <= 2 * 5 + 1
-
-    def test_accepts_params_or_instance(self):
-        params = GeneratorParams(2, 2, 1)
-        a = first_deletion_witness(params, solve_dpll)
-        b = first_deletion_witness(build_instance(params), solve_dpll)
-        assert a == b
-
-    def test_exhaustive_cross_check_small(self):
-        # restricted-shape search can only succeed when the deletion is sat
-        for seed in range(10):
-            params = GeneratorParams(2, 2, seed)
-            inst = build_instance(params)
-            reduced = delete_clause(inst.formula, 0)
-            found, witness = first_deletion_witness(inst, solve_brute_force)
-            brute = solve_brute_force(reduced)
-            if found:
-                assert brute.status == "sat"
-                assert evaluate(reduced, witness)

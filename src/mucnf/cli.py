@@ -32,16 +32,13 @@ EXIT_TIMEOUT = 4
 EXIT_INTEGRITY = 5
 
 
-SEARCH_BACKENDS = ("dpll", "brute", "external")
-
-
-def _add_backend_flags(p: argparse.ArgumentParser, choices=SEARCH_BACKENDS,
-                       default="dpll", help=None) -> None:
-    p.add_argument("--backend", choices=choices, default=default, help=help)
+def _add_backend_flags(p: argparse.ArgumentParser, default="dpll", help=None) -> None:
+    p.add_argument("--backend", choices=("dpll", "brute", "external"),
+                   default=default, help=help)
     p.add_argument("--solver", metavar="CMD", default=None,
                    help="external solver command (implies --backend external)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-solve deadline (not used by cells)")
+                   help="per-solve deadline")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true",
                    help="include solve_millis in the CSV (breaks byte-determinism)")
     p.add_argument("--parallelism", type=int, default=1)
-    _add_backend_flags(p, choices=("cells",) + SEARCH_BACKENDS, default="cells")
+    # batches are generated instances, always analysed by cells; the
+    # config line logs it
+    p.set_defaults(backend="cells")
 
     p = sub.add_parser("trend", help="experiment over ascending g values")
     p.add_argument("-k", type=int, required=True)
@@ -91,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.add_argument("--timing", action="store_true")
     p.add_argument("--parallelism", type=int, default=1)
-    _add_backend_flags(p, choices=("cells",) + SEARCH_BACKENDS, default="cells")
+    p.set_defaults(backend="cells")
 
     return parser
 
@@ -186,12 +185,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "experiment":
             args.base_seed = _resolve_seed(args.base_seed, "--base-seed")
-            _resolve_backend(args)
             _log_config(args)
             spec = BatchSpec(
                 k=args.k, g=args.g, count=args.count, base_seed=args.base_seed,
-                backend=args.backend, solver_command=args.solver,
-                timeout=args.timeout, parallelism=args.parallelism,
+                parallelism=args.parallelism,
             )
             stats = run_batch(spec)
             print(format_table([stats]))
@@ -202,14 +199,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "trend":
             args.base_seed = _resolve_seed(args.base_seed, "--base-seed")
-            _resolve_backend(args)
             _log_config(args)
             g_values = [int(tok) for tok in args.g.split(",") if tok]
-            rows = trend_study(
-                args.k, g_values, args.count, args.base_seed,
-                backend=args.backend, solver_command=args.solver,
-                timeout=args.timeout, parallelism=args.parallelism,
-            )
+            rows = trend_study(args.k, g_values, args.count, args.base_seed,
+                               parallelism=args.parallelism)
             print(format_table(rows))
             if args.csv:
                 with open(args.csv, "w", newline="") as fh:

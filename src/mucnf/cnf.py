@@ -36,10 +36,6 @@ def negate(literal: int) -> int:
     return -literal
 
 
-def variable_of(literal: int) -> int:
-    return abs(literal)
-
-
 @dataclass(frozen=True)
 class CnfFormula:
     """An immutable CNF: variable count, ordered clauses, comment lines.
@@ -134,6 +130,8 @@ def read_dimacs(text: str) -> CnfFormula:
             if num_variables < 0 or declared_clauses < 0:
                 raise DimacsParseError("negative counts in header", line_no)
             continue
+        if line == "%":
+            break   # SATLIB trailer: what follows is not clause data
         if num_variables is None:
             raise DimacsParseError("clause data before 'p cnf' header", line_no)
         for tok in line.split():

@@ -6,7 +6,6 @@ number statistics.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import statistics
 import time
@@ -14,9 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, List, Optional, Sequence
 
+# generate, analyze_mu and make_backend are not called here: perfbench/spans.py
+# looks them up on this module when it traces a run
 from .generator import GeneratorParams, build_instance, generate
 from .mu import analyze_cells, analyze_mu
-from .solver import SolveTimeoutError, make_backend
+from .solver import make_backend
 
 
 @dataclass(frozen=True)
@@ -27,10 +28,6 @@ class BatchSpec:
     g: int
     count: int
     base_seed: int
-    backend: str = "cells"
-    solver_command: Optional[str] = None
-    timeout: Optional[float] = None
-    early_exit: bool = False
     parallelism: int = 1
 
     def __post_init__(self):
@@ -57,10 +54,12 @@ class BatchStats:
     """Aggregates over the completed formulas of one batch.
 
     Standard deviation is the sample standard deviation (divisor n-1).
-    Timed-out formulas are excluded from the aggregates but counted in
-    `excluded`, never silently dropped. Positive/negative deletion rates
-    split the per-clause outcomes at the formula's polarity boundary
-    (first half all-positive clauses, second half all-negative).
+    Only completed formulas, whose every deletion is decided, enter the
+    aggregates; any other is counted in `excluded`, never silently dropped.
+    analyze_cells decides every deletion, so `excluded` is 0 in practice.
+    Positive/negative deletion rates split the per-clause outcomes at the
+    formula's polarity boundary (first half all-positive clauses, second
+    half all-negative).
     """
 
     k: int
@@ -81,33 +80,10 @@ class BatchStats:
 def _run_one(args) -> FormulaRecord:
     index, spec = args
     seed = spec.base_seed + index
-    params = GeneratorParams(spec.k, spec.g, seed)
-    if spec.backend == "cells":
-        analyze = functools.partial(analyze_cells, build_instance(params))
-    else:
-        solve = make_backend(
-            spec.backend, solver_command=spec.solver_command, timeout=spec.timeout
-        )
-        analyze = functools.partial(analyze_mu, generate(params), solve)
+    instance = build_instance(GeneratorParams(spec.k, spec.g, seed))
     t0 = time.perf_counter()
-    try:
-        report = analyze(early_exit=spec.early_exit, keep_witnesses=False)
-    except SolveTimeoutError:
-        # deadline hit on the initial unsat check: nothing decided
-        return FormulaRecord(
-            index=index,
-            seed=seed,
-            clause_count=params.num_clauses,
-            sat_number=None,
-            is_mu=None,
-            deletion_bitmap="x" * params.num_clauses,
-            millis=(time.perf_counter() - t0) * 1000.0,
-            completed=False,
-        )
+    report = analyze_cells(instance, keep_witnesses=False)
     millis = (time.perf_counter() - t0) * 1000.0
-    # early exit leaves entries undecided by design; the record is still
-    # complete for MU-percent purposes when the flag is decided
-    completed = not report.undecided or (spec.early_exit and report.is_mu is not None)
     return FormulaRecord(
         index=index,
         seed=seed,
@@ -116,7 +92,7 @@ def _run_one(args) -> FormulaRecord:
         is_mu=report.is_mu,
         deletion_bitmap=report.deletion_bitmap(),
         millis=millis,
-        completed=completed,
+        completed=not report.undecided,
     )
 
 
@@ -151,7 +127,7 @@ def _aggregate(spec: BatchSpec, records: List[FormulaRecord], t0: float) -> Batc
 
     mean_sat = std_sat = None
     pos_rate = neg_rate = None
-    if not spec.early_exit and done:
+    if done:
         sat_numbers = [r.sat_number for r in done]
         mean_sat = statistics.fmean(sat_numbers)
         std_sat = statistics.stdev(sat_numbers) if len(sat_numbers) > 1 else 0.0
@@ -188,16 +164,19 @@ def trend_study(
     g_values: Sequence[int],
     count: int,
     base_seed: int,
-    **spec_kwargs,
+    parallelism: int = 1,
 ) -> List[BatchStats]:
     """One batch per g, ascending; row i draws seeds from base_seed + i*count.
 
-    All rows share one pool of workers.
+    All rows share one pool of `parallelism` workers.
     """
+    if not g_values:
+        raise ValueError("g values must not be empty")
     if list(g_values) != sorted(g_values):
         raise ValueError("g values must be ascending")
     specs = [
-        BatchSpec(k=k, g=g, count=count, base_seed=base_seed + i * count, **spec_kwargs)
+        BatchSpec(k=k, g=g, count=count, base_seed=base_seed + i * count,
+                  parallelism=parallelism)
         for i, g in enumerate(g_values)
     ]
     return _run_specs(specs)

@@ -75,16 +75,6 @@ class MuReport:
             "1" if s is True else "0" if s is False else "x" for s in self.deletion_sat
         )
 
-    def to_record(self, formula_id: str) -> dict:
-        lo, hi = self.sat_number_range
-        return {
-            "formula_id": formula_id,
-            "clause_count": self.clause_count,
-            "sat_number": self.sat_number if self.sat_number is not None else f"{lo}-{hi}",
-            "is_mu": self.is_mu,
-            "deletion_bitmap": self.deletion_bitmap(),
-        }
-
 
 def analyze_mu(
     formula: CnfFormula,

@@ -267,7 +267,10 @@ def solve_external(
                 raise ExternalSolverError(f"unrecognized status line {line!r}")
         elif line.startswith("v ") or line == "v":
             for tok in line.split()[1:]:
-                lit = int(tok)
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise ExternalSolverError(f"non-integer token {tok!r} in {line!r}")
                 if lit != 0:
                     model_lits.append(lit)
     if status is None:
@@ -292,14 +295,13 @@ def solve_external(
 def make_backend(
     name: str,
     solver_command: Optional[str] = None,
-    brute_force_cap: int = 24,
     timeout: Optional[float] = None,
 ) -> Callable[[CnfFormula], SolveResult]:
     """Bind a backend name ('dpll', 'brute', 'external') to a solve callable."""
     if name == "dpll":
         return lambda f: solve_dpll(f, timeout=timeout)
     if name == "brute":
-        return lambda f: solve_brute_force(f, cap=brute_force_cap)
+        return solve_brute_force
     if name == "external":
         if not solver_command:
             raise ValueError("external backend requires a solver command")

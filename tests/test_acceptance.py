@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines as they complete. The statistical batches (criteria 4-6) run on the
-default `cells` backend; criterion 4 repeats its batch under DPLL, which
-takes most of the suite's time.
+`cells` analysis that every batch uses; criterion 4 repeats the analysis of
+its formulas under DPLL, which takes most of the suite's time.
 """
 
 import random
@@ -28,8 +28,7 @@ def report(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def row1_batch():
-    # criterion 4's 500-formula batch at (3, 5), on the default cells
-    # backend; reused by criterion 6
+    # criterion 4's 500-formula batch at (3, 5); reused by criterion 6
     return run_batch(BatchSpec(3, 5, 500, 20260826))
 
 
@@ -95,13 +94,13 @@ def test_criterion_4_row1_statistics(row1_batch):
     # every formula's deletion verdicts agree with the counting oracle,
     # which shares no code with the SAT backends, and with a DPLL search
     # over every deletion of the same 500 formulas
-    dpll = run_batch(BatchSpec(3, 5, 500, 20260826, backend="dpll"))
-    disagreements = sum(
-        1 for r, d in zip(s.per_formula, dpll.per_formula)
-        if not r.deletion_bitmap == d.deletion_bitmap == "".join(
-            "1" if sat else "0"
-            for sat in deletion_outcomes(build_instance(GeneratorParams(3, 5, r.seed))))
-    )
+    disagreements = 0
+    for r in s.per_formula:
+        inst = build_instance(GeneratorParams(3, 5, r.seed))
+        dpll = analyze_mu(inst.formula, solve_dpll, keep_witnesses=False)
+        oracle = "".join("1" if sat else "0" for sat in deletion_outcomes(inst))
+        if not r.deletion_bitmap == dpll.deletion_bitmap() == oracle:
+            disagreements += 1
     ok_mu = 58.0 <= s.mu_percent <= 72.0
     ok_mean = 50.8 <= s.mean_sat_no <= 51.8
     ok_std = 1.0 <= s.std_dev_sat_no <= 2.2
@@ -191,15 +190,12 @@ def test_criterion_7_cell_counting():
 
 def test_criterion_8_determinism(tmp_path, capsys):
     texts = []
-    # two runs on the default backend, then one under DPLL
-    for name, extra in (("run1.csv", []), ("run2.csv", []),
-                        ("dpll.csv", ["--backend", "dpll"])):
+    for name in ("run1.csv", "run2.csv"):
         csv = tmp_path / name
         code = main(["experiment", "-k", "3", "-g", "5", "-n", "50",
-                     "--base-seed", "42", "--csv", str(csv)] + extra)
+                     "--base-seed", "42", "--csv", str(csv)])
         assert code == 0
         texts.append(csv.read_text())
     capsys.readouterr()
-    assert report("criterion 8", texts[0] == texts[1] == texts[2],
-                  "two experiment runs and a --backend dpll run produced "
-                  "byte-identical CSV")
+    assert report("criterion 8", texts[0] == texts[1],
+                  "two experiment runs produced byte-identical CSV")

@@ -80,6 +80,18 @@ class TestSolve:
         assert code == 1  # no status line
         assert "backend=external" in err
 
+    def test_non_integer_model_token_is_solver_error(self, tmp_path, capsys):
+        solver = tmp_path / "bad-model.py"
+        solver.write_text("#!/usr/bin/env python3\n"
+                          "print('s SATISFIABLE')\nprint('v 1 x 0')\n")
+        solver.chmod(0o755)
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 1 1\n1 0\n")
+        code, out, err = run(capsys, "solve", str(path), "--solver", str(solver))
+        assert code == 1
+        assert out == ""
+        assert "non-integer token 'x'" in err
+
     def test_brute_backend(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         path.write_text("p cnf 1 2\n1 0\n-1 0\n")
@@ -171,18 +183,25 @@ class TestExperiment:
             texts.append(csv.read_text())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("command,flags", [
+        ("experiment", ["-g", "2"]),
+        ("trend", ["-g", "1,2"]),
+    ])
+    @pytest.mark.parametrize("extra", [
+        ["--backend", "dpll"], ["--solver", "/bin/true"], ["--timeout", "1"],
+    ])
+    def test_batches_take_no_backend_flags(self, capsys, command, flags, extra):
+        # batches are generated instances: always analysed by cells
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-k", "2", *flags, "-n", "1", "--base-seed", "0", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_cells_and_dpll_csv_identical(self, tmp_path, capsys):
-        texts = []
-        for backend in ("cells", "dpll"):
-            csv = tmp_path / f"{backend}.csv"
-            code, _, err = run(capsys, "experiment", "-k", "3", "-g", "3", "-n", "8",
-                               "--base-seed", "5", "--csv", str(csv),
-                               "--backend", backend)
-            assert code == 0
-            assert f"backend={backend}" in err
-            texts.append(csv.read_text())
-        assert texts[0] == texts[1]
+    def test_config_line_names_cells(self, capsys):
+        code, _, err = run(capsys, "experiment", "-k", "2", "-g", "1", "-n", "1",
+                           "--base-seed", "0")
+        assert code == 0
+        assert "backend=cells" in err
 
 
 class TestTrend:
@@ -191,3 +210,11 @@ class TestTrend:
                            "--base-seed", "0")
         assert code == 0
         assert len(out.splitlines()) == 3  # header + 2 rows
+
+    @pytest.mark.parametrize("g", ["", ","])
+    def test_empty_g_list_is_usage_error(self, capsys, g):
+        code, out, err = run(capsys, "trend", "-k", "3", "-g", g, "-n", "2",
+                             "--base-seed", "0")
+        assert code == 2
+        assert out == ""
+        assert "must not be empty" in err

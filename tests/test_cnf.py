@@ -120,6 +120,20 @@ class TestReadDimacs:
         with pytest.raises(DimacsParseError, match="declares 2 clauses"):
             read_dimacs("p cnf 3 2\n1 0\n")
 
+    def test_satlib_percent_trailer_ends_clause_data(self):
+        # the uf*.cnf files of SATLIB end with a '%' line and a lone '0'
+        text = ("c This Formular is generated by mcnf\n"
+                "c\n"
+                "p cnf 3  2 \n"
+                " 1 -2 3 0\n"
+                "-1 2 -3 0\n"
+                "%\n"
+                "0\n"
+                "\n")
+        f = read_dimacs(text)
+        assert f.num_variables == 3
+        assert f.clauses == ((1, -2, 3), (-1, 2, -3))
+
     def test_clause_before_header(self):
         with pytest.raises(DimacsParseError, match="header"):
             read_dimacs("1 0\np cnf 3 1\n")

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import statistics
 
@@ -61,36 +60,6 @@ class TestRunBatch:
         b = run_batch(small_spec(count=4, parallelism=2))
         assert [r.sat_number for r in a.per_formula] == [r.sat_number for r in b.per_formula]
 
-    def test_cells_matches_dpll(self):
-        strip = lambda s: [
-            (r.seed, r.clause_count, r.sat_number, r.is_mu, r.deletion_bitmap)
-            for r in s.per_formula
-        ]
-        for spec in (small_spec(count=10), small_spec(k=3, g=3, count=5),
-                     small_spec(count=10, early_exit=True)):
-            cells = run_batch(spec)
-            dpll = run_batch(dataclasses.replace(spec, backend="dpll"))
-            assert strip(cells) == strip(dpll)
-
-    def test_early_exit_gives_mu_percent_only(self):
-        stats = run_batch(small_spec(early_exit=True))
-        assert stats.mean_sat_no is None
-        assert stats.std_dev_sat_no is None
-        assert 0.0 <= stats.mu_percent <= 100.0
-
-    def test_early_exit_mu_percent_matches_full(self):
-        full = run_batch(small_spec(count=10))
-        fast = run_batch(small_spec(count=10, early_exit=True))
-        assert full.mu_percent == fast.mu_percent
-
-    def test_timeouts_excluded_not_dropped(self):
-        # impossibly small deadline: every deletion solve times out (the
-        # deadline applies to search backends only)
-        stats = run_batch(BatchSpec(3, 8, 2, 5, backend="dpll", timeout=1e-9))
-        assert stats.excluded == 2
-        assert stats.completed == 0
-        assert len(stats.per_formula) == 2
-
     def test_polarity_split_rates(self):
         stats = run_batch(small_spec(count=10))
         assert 0.0 <= stats.pos_deletion_sat_rate <= 1.0
@@ -101,6 +70,10 @@ class TestTrendStudy:
     def test_rejects_descending(self):
         with pytest.raises(ValueError, match="ascending"):
             trend_study(2, [3, 2], 1, 0)
+
+    def test_rejects_empty_g_list(self):
+        with pytest.raises(ValueError, match="empty"):
+            trend_study(2, [], 1, 0)
 
     def test_one_row_per_g(self):
         rows = trend_study(2, [1, 2], 3, 50)

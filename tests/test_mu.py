@@ -104,14 +104,3 @@ class TestAnalyzeMu:
                         continue
                     sub = delete_clause(delete_clause(f, max(i, j)), min(i, j))
                     assert solve_brute_force(sub).status == "sat"
-
-    def test_record_serialization(self):
-        f = CnfFormula(1, ((1,), (-1,)))
-        rec = analyze_mu(f, solve_dpll).to_record("f0")
-        assert rec == {
-            "formula_id": "f0",
-            "clause_count": 2,
-            "sat_number": 2,
-            "is_mu": True,
-            "deletion_bitmap": "11",
-        }

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .cnf import DimacsParseError, read_dimacs, write_dimacs
-from .experiment import BatchSpec, format_table, run_batch, trend_study, write_csv
+from .experiment import format_table, trend_study, write_csv
 from .generator import GeneratorParams, generate, regenerate
 from .mu import NotUnsatError, analyze_cells, analyze_mu
 from .solver import (
@@ -68,29 +68,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default: cells if the file's params: comment "
                             "regenerates it exactly, else dpll")
 
-    p = sub.add_parser("experiment", help="batch MU statistics for one (k, g)")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-g", type=int, required=True)
-    p.add_argument("-n", "--count", type=int, default=500)
-    p.add_argument("--base-seed", type=int, default=None,
-                   help="seed for formula 0; formula i uses base-seed + i")
-    p.add_argument("--csv", default=None, help="write per-formula and summary CSV here")
-    p.add_argument("--timing", action="store_true",
-                   help="include solve_millis in the CSV (breaks byte-determinism)")
-    p.add_argument("--parallelism", type=int, default=1)
-    # batches are generated instances, always analysed by cells; the
-    # config line logs it
-    p.set_defaults(backend="cells")
-
-    p = sub.add_parser("trend", help="experiment over ascending g values")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-g", required=True, help="comma-separated ascending g values")
-    p.add_argument("-n", "--count", type=int, default=500)
-    p.add_argument("--base-seed", type=int, default=None)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--timing", action="store_true")
-    p.add_argument("--parallelism", type=int, default=1)
-    p.set_defaults(backend="cells")
+    # experiment is a trend with one g: same flags, same run
+    for command, g_type, g_help, summary in (
+        ("experiment", int, "group count", "batch MU statistics for one (k, g)"),
+        ("trend", str, "comma-separated ascending g values",
+         "experiment over ascending g values"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("-k", type=int, required=True)
+        p.add_argument("-g", type=g_type, required=True, help=g_help)
+        p.add_argument("-n", "--count", type=int, default=500)
+        p.add_argument("--base-seed", type=int, default=None,
+                       help="seed for formula 0; formula i uses base-seed + i")
+        p.add_argument("--csv", default=None, help="write per-formula and summary CSV here")
+        p.add_argument("--timing", action="store_true",
+                       help="include solve_millis in the CSV (breaks byte-determinism)")
+        p.add_argument("--parallelism", type=int, default=1)
+        # batches are generated instances, always analysed by cells; the
+        # config line logs it
+        p.set_defaults(backend="cells")
 
     return parser
 
@@ -183,24 +179,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"deletions: {report.deletion_bitmap()}")
             return EXIT_OK
 
-        if args.command == "experiment":
+        if args.command in ("experiment", "trend"):
             args.base_seed = _resolve_seed(args.base_seed, "--base-seed")
             _log_config(args)
-            spec = BatchSpec(
-                k=args.k, g=args.g, count=args.count, base_seed=args.base_seed,
-                parallelism=args.parallelism,
-            )
-            stats = run_batch(spec)
-            print(format_table([stats]))
-            if args.csv:
-                with open(args.csv, "w", newline="") as fh:
-                    write_csv([stats], fh, timing=args.timing)
-            return EXIT_OK
-
-        if args.command == "trend":
-            args.base_seed = _resolve_seed(args.base_seed, "--base-seed")
-            _log_config(args)
-            g_values = [int(tok) for tok in args.g.split(",") if tok]
+            if args.command == "experiment":
+                g_values = [args.g]
+            else:
+                g_values = [int(tok) for tok in args.g.split(",") if tok]
             rows = trend_study(args.k, g_values, args.count, args.base_seed,
                                parallelism=args.parallelism)
             print(format_table(rows))

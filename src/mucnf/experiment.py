@@ -11,7 +11,7 @@ import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, List, Optional, Sequence
+from typing import IO, List, Sequence
 
 # generate, analyze_mu and make_backend are not called here: perfbench/spans.py
 # looks them up on this module when it traces a run
@@ -42,21 +42,20 @@ class FormulaRecord:
     index: int
     seed: int
     clause_count: int
-    sat_number: Optional[int]    # None when any deletion was undecided
-    is_mu: Optional[bool]
+    sat_number: int
+    is_mu: bool
     deletion_bitmap: str
     millis: float
-    completed: bool
+    # always True: analyze_cells decides every deletion; perfbench/workloads.py
+    # still reads it
+    completed: bool = True
 
 
 @dataclass
 class BatchStats:
-    """Aggregates over the completed formulas of one batch.
+    """Aggregates over the formulas of one batch.
 
     Standard deviation is the sample standard deviation (divisor n-1).
-    Only completed formulas, whose every deletion is decided, enter the
-    aggregates; any other is counted in `excluded`, never silently dropped.
-    analyze_cells decides every deletion, so `excluded` is 0 in practice.
     Positive/negative deletion rates split the per-clause outcomes at the
     formula's polarity boundary (first half all-positive clauses, second
     half all-negative).
@@ -65,14 +64,12 @@ class BatchStats:
     k: int
     g: int
     count: int
-    completed: int
-    excluded: int
     clause_number: int
     mu_percent: float
-    mean_sat_no: Optional[float]
-    std_dev_sat_no: Optional[float]
-    pos_deletion_sat_rate: Optional[float]
-    neg_deletion_sat_rate: Optional[float]
+    mean_sat_no: float
+    std_dev_sat_no: float
+    pos_deletion_sat_rate: float
+    neg_deletion_sat_rate: float
     elapsed: float
     per_formula: List[FormulaRecord] = field(default_factory=list)
 
@@ -92,19 +89,19 @@ def _run_one(args) -> FormulaRecord:
         is_mu=report.is_mu,
         deletion_bitmap=report.deletion_bitmap(),
         millis=millis,
-        completed=not report.undecided,
     )
 
 
 def _run_specs(specs: Sequence[BatchSpec]) -> List[BatchStats]:
     """Analyze every formula of every spec, in order, on one pool of workers.
 
-    The specs share one parallelism. A row's `elapsed` runs from the start
-    until its last formula is done.
+    The specs share one parallelism, capped at the number of formulas: the
+    pool forks all its workers at the first submit. A row's `elapsed` runs
+    from the start until its last formula is done.
     """
     t0 = time.perf_counter()
     jobs = [(i, spec) for spec in specs for i in range(spec.count)]
-    parallelism = max((spec.parallelism for spec in specs), default=1)
+    parallelism = min(max((spec.parallelism for spec in specs), default=1), len(jobs))
     with contextlib.ExitStack() as stack:
         if parallelism > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallelism))
@@ -121,34 +118,20 @@ def _run_specs(specs: Sequence[BatchSpec]) -> List[BatchStats]:
 
 def _aggregate(spec: BatchSpec, records: List[FormulaRecord], t0: float) -> BatchStats:
     clause_number = GeneratorParams(spec.k, spec.g, spec.base_seed).num_clauses
-    done = [r for r in records if r.completed]
-    mu_count = sum(1 for r in done if r.is_mu)
-    mu_percent = 100.0 * mu_count / len(done) if done else 0.0
-
-    mean_sat = std_sat = None
-    pos_rate = neg_rate = None
-    if done:
-        sat_numbers = [r.sat_number for r in done]
-        mean_sat = statistics.fmean(sat_numbers)
-        std_sat = statistics.stdev(sat_numbers) if len(sat_numbers) > 1 else 0.0
-        half = clause_number // 2
-        pos_sat = sum(r.deletion_bitmap[:half].count("1") for r in done)
-        neg_sat = sum(r.deletion_bitmap[half:].count("1") for r in done)
-        pos_rate = pos_sat / (half * len(done))
-        neg_rate = neg_sat / (half * len(done))
-
+    sat_numbers = [r.sat_number for r in records]
+    half = clause_number // 2
+    pos_sat = sum(r.deletion_bitmap[:half].count("1") for r in records)
+    neg_sat = sum(r.deletion_bitmap[half:].count("1") for r in records)
     return BatchStats(
         k=spec.k,
         g=spec.g,
         count=spec.count,
-        completed=len(done),
-        excluded=len(records) - len(done),
         clause_number=clause_number,
-        mu_percent=mu_percent,
-        mean_sat_no=mean_sat,
-        std_dev_sat_no=std_sat,
-        pos_deletion_sat_rate=pos_rate,
-        neg_deletion_sat_rate=neg_rate,
+        mu_percent=100.0 * sum(1 for r in records if r.is_mu) / len(records),
+        mean_sat_no=statistics.fmean(sat_numbers),
+        std_dev_sat_no=statistics.stdev(sat_numbers) if len(sat_numbers) > 1 else 0.0,
+        pos_deletion_sat_rate=pos_sat / (half * len(records)),
+        neg_deletion_sat_rate=neg_sat / (half * len(records)),
         elapsed=time.perf_counter() - t0,
         per_formula=records,
     )
@@ -186,17 +169,14 @@ def format_table(rows: Sequence[BatchStats]) -> str:
     """Human-readable table mirroring the experiment columns."""
     header = (
         f"{'k':>3} {'g':>4} {'clauses':>8} {'MU %':>7} "
-        f"{'mean sat no':>12} {'std dev':>8} {'pos rate':>9} {'neg rate':>9} {'excl':>5}"
+        f"{'mean sat no':>12} {'std dev':>8} {'pos rate':>9} {'neg rate':>9}"
     )
     lines = [header]
     for s in rows:
-        mean = f"{s.mean_sat_no:.2f}" if s.mean_sat_no is not None else "-"
-        std = f"{s.std_dev_sat_no:.2f}" if s.std_dev_sat_no is not None else "-"
-        pos = f"{s.pos_deletion_sat_rate:.4f}" if s.pos_deletion_sat_rate is not None else "-"
-        neg = f"{s.neg_deletion_sat_rate:.4f}" if s.neg_deletion_sat_rate is not None else "-"
         lines.append(
             f"{s.k:>3} {s.g:>4} {s.clause_number:>8} {s.mu_percent:>7.1f} "
-            f"{mean:>12} {std:>8} {pos:>9} {neg:>9} {s.excluded:>5}"
+            f"{s.mean_sat_no:>12.2f} {s.std_dev_sat_no:>8.2f} "
+            f"{s.pos_deletion_sat_rate:>9.4f} {s.neg_deletion_sat_rate:>9.4f}"
         )
     return "\n".join(lines)
 
@@ -205,7 +185,8 @@ def write_csv(rows: Sequence[BatchStats], fh: IO[str], timing: bool = False) -> 
     """Per-formula rows then one summary row per batch.
 
     Timing columns are opt-in so the default output is byte-identical
-    across reruns of the same spec.
+    across reruns of the same spec. Every formula is decided, so the
+    summary's `completed` column equals `count`.
     """
     cols = ["k", "g", "seed", "clause_count", "satisfiability_number", "is_mu"]
     if timing:
@@ -213,16 +194,14 @@ def write_csv(rows: Sequence[BatchStats], fh: IO[str], timing: bool = False) -> 
     fh.write(",".join(cols) + "\n")
     for s in rows:
         for r in s.per_formula:
-            sat_no = "" if r.sat_number is None else str(r.sat_number)
-            is_mu = "" if r.is_mu is None else str(r.is_mu).lower()
-            row = [str(s.k), str(s.g), str(r.seed), str(r.clause_count), sat_no, is_mu]
+            row = [str(s.k), str(s.g), str(r.seed), str(r.clause_count),
+                   str(r.sat_number), str(r.is_mu).lower()]
             if timing:
                 row.append(f"{r.millis:.1f}")
             fh.write(",".join(row) + "\n")
     fh.write("k,g,count,completed,mu_percent,mean_sat_no,std_dev_sat_no\n")
     for s in rows:
-        mean = "" if s.mean_sat_no is None else f"{s.mean_sat_no:.4f}"
-        std = "" if s.std_dev_sat_no is None else f"{s.std_dev_sat_no:.4f}"
         fh.write(
-            f"{s.k},{s.g},{s.count},{s.completed},{s.mu_percent:.2f},{mean},{std}\n"
+            f"{s.k},{s.g},{s.count},{s.count},{s.mu_percent:.2f},"
+            f"{s.mean_sat_no:.4f},{s.std_dev_sat_no:.4f}\n"
         )

@@ -93,28 +93,42 @@ def analyze_mu(
     base = solve(formula)
     if base.is_sat:
         raise NotUnsatError("formula is satisfiable; minimal unsatisfiability is undefined")
+    return _deletion_report(formula, lambda i, reduced: solve(reduced).model,
+                            early_exit, keep_witnesses)
 
+
+def _deletion_report(
+    formula: CnfFormula,
+    model_for: Callable[[int, CnfFormula], Optional[Assignment]],
+    early_exit: bool,
+    keep_witnesses: bool,
+) -> MuReport:
+    """Decide every deletion, in clause-index order, with `model_for`.
+
+    model_for(i, reduced) returns a model of `reduced` (the formula without
+    clause i), or None when it is unsat; a SolveTimeoutError leaves the
+    deletion undecided. Every model is re-verified with evaluate() before it
+    is trusted. With early_exit the loop stops at the first unsat deletion.
+    """
     m = len(formula.clauses)
     outcomes: list[Optional[bool]] = [None] * m
     witnesses: Dict[int, Assignment] = {}
     for i in range(m):
         reduced = delete_clause(formula, i)
         try:
-            result = solve(reduced)
+            model = model_for(i, reduced)
         except SolveTimeoutError:
             continue
-        if result.is_sat:
-            if not evaluate(reduced, result.model):
-                raise SolverIntegrityError(
-                    f"backend returned a non-verifying model for deletion {i}"
-                )
-            outcomes[i] = True
-            if keep_witnesses:
-                witnesses[i] = result.model
-        else:
+        if model is None:
             outcomes[i] = False
             if early_exit:
                 break
+            continue
+        if not evaluate(reduced, model):
+            raise SolverIntegrityError(f"non-verifying model for deletion {i}")
+        outcomes[i] = True
+        if keep_witnesses:
+            witnesses[i] = model
     return MuReport(m, tuple(outcomes), witnesses)
 
 
@@ -161,11 +175,10 @@ def analyze_cells(
     caps = tuple([[len(vs) for vs in col] for col in grid] for grid in grids)
     sizes = tuple([len(cell) for cell in layouts[1 - side]] for side in (0, 1))
 
-    m = len(formula.clauses)
-    outcomes: list[Optional[bool]] = [None] * m
-    witnesses: Dict[int, Assignment] = {}
     flows: Dict[tuple, Optional[Dict[Tuple[int, int], int]]] = {}
-    for i, clause in enumerate(formula.clauses):
+
+    def model_for(i: int, reduced: CnfFormula) -> Optional[Assignment]:
+        clause = formula.clauses[i]
         side = 0 if clause[0] > 0 else 1
         home = cell_of[side][abs(clause[0])]
         profile = [0] * g
@@ -176,10 +189,7 @@ def analyze_cells(
             flows[key] = _cell_flow(caps[side], sizes[side], home, profile, k)
         flow = flows[key]
         if flow is None:
-            outcomes[i] = False
-            if early_exit:
-                break
-            continue
+            return None
         fill = side == 0
         witness = dict.fromkeys(range(1, n + 1), fill)
         for lit in clause:
@@ -187,14 +197,9 @@ def analyze_cells(
         for (col, row), units in flow.items():
             for v in grids[side][col][row][:units]:
                 witness[v] = not fill
-        if not evaluate(delete_clause(formula, i), witness):
-            raise SolverIntegrityError(
-                f"cell flow gave a non-verifying model for deletion {i}"
-            )
-        outcomes[i] = True
-        if keep_witnesses:
-            witnesses[i] = witness
-    return MuReport(m, tuple(outcomes), witnesses)
+        return witness
+
+    return _deletion_report(formula, model_for, early_exit, keep_witnesses)
 
 
 def _cell_flow(

@@ -166,25 +166,36 @@ def solve_dpll(formula: CnfFormula, timeout: Optional[float] = None) -> SolveRes
         return best
 
     def search(pending: list) -> bool:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolveTimeoutError("DPLL solve exceeded its deadline")
-        mark = len(trail)
+        """Depth-first search over the trail, with an explicit stack.
+
+        frames holds [mark, var, value] for each open decision: `mark` is
+        the trail length when its node was entered, so refuting the node
+        undoes to it. Branches try true first, in the recursive order.
+        """
+        frames: list = []
         while True:
-            if not propagate(pending):
+            if deadline is not None and time.monotonic() > deadline:
+                raise SolveTimeoutError("DPLL solve exceeded its deadline")
+            mark = len(trail)
+            while propagate(pending):
+                if unresolved[0] == 0:
+                    return True
+                pending = find_pures()
+                if not pending:
+                    frames.append([mark, pick_branch_var(), True])
+                    break
+            else:
+                # conflict: undo this node and every decision whose false
+                # branch is refuted too, then flip the deepest true branch
                 undo_to(mark)
-                return False
-            if unresolved[0] == 0:
-                return True
-            pending = find_pures()
-            if not pending:
-                break
-        var = pick_branch_var()
-        for val in (True, False):
+                while frames and not frames[-1][2]:
+                    undo_to(frames.pop()[0])
+                if not frames:
+                    return False
+                frames[-1][2] = False
             stats.decisions += 1
-            if search([(var, val)]):
-                return True
-        undo_to(mark)
-        return False
+            _, var, val = frames[-1]
+            pending = [(var, val)]
 
     initial = [(abs(c[0]), c[0] > 0) for c in clauses if len(c) == 1]
     if search(initial):

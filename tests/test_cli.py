@@ -1,8 +1,7 @@
 import pytest
 
 from mucnf.cli import main
-from mucnf.cnf import write_dimacs
-from mucnf.cnf import CnfFormula
+from mucnf.cnf import CnfFormula, evaluate, write_dimacs
 
 
 def run(capsys, *argv):
@@ -91,6 +90,22 @@ class TestSolve:
         assert code == 1
         assert out == ""
         assert "non-integer token 'x'" in err
+
+    def test_deep_search_solves(self, tmp_path, capsys):
+        # 2,000 independent XOR pairs: one DPLL decision per pair, deeper
+        # than Python's recursion limit
+        clauses = []
+        for x in range(1, 4001, 2):
+            clauses += [(x, x + 1), (-x, -(x + 1))]
+        f = CnfFormula(4000, tuple(clauses))
+        path = tmp_path / "xor.cnf"
+        path.write_text(write_dimacs(f))
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        status, values = out.splitlines()
+        assert status == "SAT"
+        lits = [int(tok) for tok in values.split()[1:-1]]
+        assert evaluate(f, {abs(lit): lit > 0 for lit in lits})
 
     def test_brute_backend(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
@@ -205,6 +220,16 @@ class TestExperiment:
 
 
 class TestTrend:
+    def test_one_g_trend_is_experiment(self, tmp_path, capsys):
+        outputs = []
+        for command in ("experiment", "trend"):
+            csv = tmp_path / f"{command}.csv"
+            code, out, _ = run(capsys, command, "-k", "3", "-g", "5", "-n", "20",
+                               "--base-seed", "9", "--csv", str(csv))
+            assert code == 0
+            outputs.append((out, csv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_two_rows(self, capsys):
         code, out, _ = run(capsys, "trend", "-k", "2", "-g", "1,2", "-n", "2",
                            "--base-seed", "0")

@@ -3,6 +3,7 @@ import statistics
 
 import pytest
 
+import mucnf.experiment
 from mucnf.experiment import BatchSpec, format_table, run_batch, trend_study, write_csv
 
 
@@ -26,18 +27,18 @@ class TestRunBatch:
     def test_single_mu_formula_statistics(self):
         # seed chosen so the single formula is MU: degenerate statistics
         stats = run_batch(BatchSpec(2, 1, 1, 3))
-        assert stats.completed == 1
+        assert stats.count == 1
         assert stats.mu_percent == 100.0
         assert stats.mean_sat_no == stats.clause_number
         assert stats.std_dev_sat_no == 0.0
 
     def test_aggregates_recompute_from_records(self):
         stats = run_batch(small_spec(count=12))
-        sat_numbers = [r.sat_number for r in stats.per_formula if r.completed]
+        sat_numbers = [r.sat_number for r in stats.per_formula]
         assert stats.mean_sat_no == statistics.fmean(sat_numbers)
         assert stats.std_dev_sat_no == statistics.stdev(sat_numbers)
-        mu = sum(1 for r in stats.per_formula if r.completed and r.is_mu)
-        assert stats.mu_percent == 100.0 * mu / stats.completed
+        mu = sum(1 for r in stats.per_formula if r.is_mu)
+        assert stats.mu_percent == 100.0 * mu / stats.count
 
     def test_seeds_derive_from_base(self):
         stats = run_batch(small_spec())
@@ -59,6 +60,36 @@ class TestRunBatch:
         a = run_batch(small_spec(count=4))
         b = run_batch(small_spec(count=4, parallelism=2))
         assert [r.sat_number for r in a.per_formula] == [r.sat_number for r in b.per_formula]
+
+    def test_pool_never_larger_than_the_batch(self, monkeypatch):
+        # the pool forks all its workers at the first submit, so more
+        # workers than formulas would fork idle processes
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(mucnf.experiment, "ProcessPoolExecutor", FakePool)
+        stats = run_batch(small_spec(count=3, parallelism=8))
+        assert sizes == [3]
+        assert len(stats.per_formula) == 3
+        trend_study(2, [1, 2], 2, 0, parallelism=3)
+        assert sizes == [3, 3]
+        run_batch(small_spec(count=1, parallelism=4))  # one formula: no pool
+        assert sizes == [3, 3]
 
     def test_polarity_split_rates(self):
         stats = run_batch(small_spec(count=10))
@@ -109,6 +140,7 @@ class TestOutput:
         assert lines[0] == "k,g,seed,clause_count,satisfiability_number,is_mu"
         assert len(lines) == 1 + 2 + 1 + 1  # header, rows, summary header, summary
         assert lines[3] == "k,g,count,completed,mu_percent,mean_sat_no,std_dev_sat_no"
+        assert lines[4].startswith("2,2,2,2,")  # every formula is decided
 
     def test_csv_timing_column_optional(self):
         stats = run_batch(small_spec(count=1))

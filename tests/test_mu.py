@@ -5,7 +5,12 @@ import pytest
 from mucnf.cnf import CnfFormula, evaluate
 from mucnf.generator import GeneratorParams, generate
 from mucnf.mu import MuReport, NotUnsatError, analyze_mu, delete_clause
-from mucnf.solver import SolveTimeoutError, solve_brute_force, solve_dpll
+from mucnf.solver import (
+    SolveTimeoutError,
+    SolverIntegrityError,
+    solve_brute_force,
+    solve_dpll,
+)
 
 
 class TestDeleteClause:
@@ -91,6 +96,19 @@ class TestAnalyzeMu:
         assert report.deletion_sat == (None, True)
         assert report.sat_number_range == (1, 2)
         assert report.is_mu is None
+
+    def test_non_verifying_model_is_integrity_error(self):
+        f = CnfFormula(2, ((1,), (-1,), (2,)))
+
+        def lying(formula):
+            # every sat deletion keeps (2,); a model with 2 false violates it
+            result = solve_dpll(formula)
+            if result.is_sat:
+                result.model[2] = False
+            return result
+
+        with pytest.raises(SolverIntegrityError, match="deletion 0"):
+            analyze_mu(f, lying)
 
     def test_monotone_deletion_consistency(self):
         # if deleting clause i leaves a sat formula, deleting i plus any

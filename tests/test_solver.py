@@ -1,4 +1,5 @@
 import os
+import random
 import stat
 import textwrap
 
@@ -58,6 +59,35 @@ class TestDpll:
     def test_deterministic_stats(self):
         f = generate(GeneratorParams(3, 5, 3))
         assert solve_dpll(f).stats == solve_dpll(f).stats
+
+    @pytest.mark.parametrize("make,stats,true_vars", [
+        (lambda: generate(GeneratorParams(3, 5, 1)), (202, 1067, 102), None),
+        (lambda: delete_clause(generate(GeneratorParams(3, 5, 1)), 0), (7, 21, 0),
+         [4, 5, 6, 9, 11, 13, 16, 17, 19, 20]),
+        (lambda: delete_clause(generate(GeneratorParams(3, 6, 2)), 30), (46, 204, 21),
+         [3, 4, 5, 7, 10, 12, 13, 14, 17, 19, 21, 23, 24]),
+        (lambda: pigeonhole(3), (10, 50, 6), None),
+        (lambda: random_kcnf(random.Random(5), 12, 50), (7, 25, 2),
+         [1, 2, 3, 4, 9, 10, 11, 12]),
+    ])
+    def test_search_order_is_pinned(self, make, stats, true_vars):
+        # pinned counters and models: the search keeps its branching order
+        f = make()
+        r = solve_dpll(f)
+        assert (r.stats.decisions, r.stats.propagations, r.stats.conflicts) == stats
+        if true_vars is None:
+            assert r.status == "unsat"
+        else:
+            assert [v for v in range(1, f.num_variables + 1) if r.model[v]] == true_vars
+
+
+def pigeonhole(holes: int) -> CnfFormula:
+    """PHP(holes+1, holes): variable 1 + p*holes + h puts pigeon p in hole h."""
+    var = lambda p, h: 1 + p * holes + h
+    clauses = [tuple(var(p, h) for h in range(holes)) for p in range(holes + 1)]
+    clauses += [(-var(a, h), -var(b, h))
+                for h in range(holes) for a in range(holes + 1) for b in range(a + 1, holes + 1)]
+    return CnfFormula((holes + 1) * holes, tuple(clauses))
 
 
 class TestBruteForce:

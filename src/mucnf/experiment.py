@@ -70,7 +70,6 @@ class BatchStats:
     std_dev_sat_no: float
     pos_deletion_sat_rate: float
     neg_deletion_sat_rate: float
-    elapsed: float
     per_formula: List[FormulaRecord] = field(default_factory=list)
 
 
@@ -96,10 +95,8 @@ def _run_specs(specs: Sequence[BatchSpec]) -> List[BatchStats]:
     """Analyze every formula of every spec, in order, on one pool of workers.
 
     The specs share one parallelism, capped at the number of formulas: the
-    pool forks all its workers at the first submit. A row's `elapsed` runs
-    from the start until its last formula is done.
+    pool forks all its workers at the first submit.
     """
-    t0 = time.perf_counter()
     jobs = [(i, spec) for spec in specs for i in range(spec.count)]
     parallelism = min(max((spec.parallelism for spec in specs), default=1), len(jobs))
     with contextlib.ExitStack() as stack:
@@ -111,12 +108,12 @@ def _run_specs(specs: Sequence[BatchSpec]) -> List[BatchStats]:
         else:
             records = map(_run_one, jobs)
         return [
-            _aggregate(spec, list(itertools.islice(records, spec.count)), t0)
+            _aggregate(spec, list(itertools.islice(records, spec.count)))
             for spec in specs
         ]
 
 
-def _aggregate(spec: BatchSpec, records: List[FormulaRecord], t0: float) -> BatchStats:
+def _aggregate(spec: BatchSpec, records: List[FormulaRecord]) -> BatchStats:
     clause_number = GeneratorParams(spec.k, spec.g, spec.base_seed).num_clauses
     sat_numbers = [r.sat_number for r in records]
     half = clause_number // 2
@@ -132,7 +129,6 @@ def _aggregate(spec: BatchSpec, records: List[FormulaRecord], t0: float) -> Batc
         std_dev_sat_no=statistics.stdev(sat_numbers) if len(sat_numbers) > 1 else 0.0,
         pos_deletion_sat_rate=pos_sat / (half * len(records)),
         neg_deletion_sat_rate=neg_sat / (half * len(records)),
-        elapsed=time.perf_counter() - t0,
         per_formula=records,
     )
 

@@ -16,8 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .cnf import Assignment, CnfFormula, evaluate, write_dimacs
 
 
@@ -133,37 +131,20 @@ def solve_dpll(formula: CnfFormula, timeout: Optional[float] = None) -> SolveRes
                                 break
         return True
 
-    def find_pures() -> list:
-        pos = bytearray(n + 1)
-        neg = bytearray(n + 1)
+    def pures_or_branch() -> tuple:
+        """(pure literals, 0), or ([], the most frequent variable, ties to
+        the lowest index), from one occurrence count over unresolved clauses."""
+        count = [0] * (2 * n + 1)  # count[lit + n], like occ
         for ci in range(m):
             if sat_count[ci] == 0:
                 for lit in clauses[ci]:
-                    v = abs(lit)
-                    if assign[v] is None:
-                        if lit > 0:
-                            pos[v] = 1
-                        else:
-                            neg[v] = 1
-        return [
-            (v, bool(pos[v]))
-            for v in range(1, n + 1)
-            if assign[v] is None and pos[v] != neg[v]
-        ]
-
-    def pick_branch_var() -> int:
-        counts = [0] * (n + 1)
-        for ci in range(m):
-            if sat_count[ci] == 0:
-                for lit in clauses[ci]:
-                    v = abs(lit)
-                    if assign[v] is None:
-                        counts[v] += 1
-        best, best_count = 0, 0
-        for v in range(1, n + 1):
-            if counts[v] > best_count:
-                best, best_count = v, counts[v]
-        return best
+                    if assign[abs(lit)] is None:
+                        count[lit + n] += 1
+        pures = [(v, count[n + v] > 0) for v in range(1, n + 1)
+                 if (count[n + v] > 0) != (count[n - v] > 0)]
+        if pures:
+            return pures, 0
+        return [], max(range(1, n + 1), key=lambda v: count[n + v] + count[n - v])
 
     def search(pending: list) -> bool:
         """Depth-first search over the trail, with an explicit stack.
@@ -180,9 +161,9 @@ def solve_dpll(formula: CnfFormula, timeout: Optional[float] = None) -> SolveRes
             while propagate(pending):
                 if unresolved[0] == 0:
                     return True
-                pending = find_pures()
+                pending, branch_var = pures_or_branch()
                 if not pending:
-                    frames.append([mark, pick_branch_var(), True])
+                    frames.append([mark, branch_var, True])
                     break
             else:
                 # conflict: undo this node and every decision whose false
@@ -204,38 +185,53 @@ def solve_dpll(formula: CnfFormula, timeout: Optional[float] = None) -> SolveRes
     return SolveResult("unsat", None, stats)
 
 
-def solve_brute_force(formula: CnfFormula, cap: int = 24) -> SolveResult:
+BRUTE_FORCE_MAX_VARIABLES = 24
+_BLOCK_BITS = 16  # assignments tested together, as the bits of one integer
+
+
+def solve_brute_force(formula: CnfFormula) -> SolveResult:
     """Exhaustively enumerate total assignments in ascending binary order.
 
     Assignment i (an integer counting up from 0) sets variable v true iff
     bit v-1 of i is set; the first satisfying assignment is returned.
-    Refuses formulas beyond `cap` variables.
+    A block of 2**16 assignments is tested as the bits of one integer: a
+    clause keeps the OR of its literals' bitsets. Refuses formulas beyond
+    BRUTE_FORCE_MAX_VARIABLES variables.
     """
     n = formula.num_variables
-    if n > cap:
+    if n > BRUTE_FORCE_MAX_VARIABLES:
         raise BruteForceCapError(
-            f"{n} variables exceeds the brute-force cap of {cap}; use DPLL"
+            f"{n} variables exceeds the brute-force cap of "
+            f"{BRUTE_FORCE_MAX_VARIABLES}; use DPLL"
         )
-    masks = []
-    for clause in formula.clauses:
-        pos = neg = 0
-        for lit in clause:
-            if lit > 0:
-                pos |= 1 << (lit - 1)
-            else:
-                neg |= 1 << (-lit - 1)
-        masks.append((pos, neg))
-
-    total = 1 << n
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        block = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        falsified = np.zeros(len(block), dtype=bool)
-        for pos, neg in masks:
-            falsified |= ((block & pos) == 0) & ((block & neg) == neg)
-        hits = np.nonzero(~falsified)[0]
-        if len(hits):
-            first = start + int(hits[0])
+    low = min(n, _BLOCK_BITS)
+    full = (1 << (1 << low)) - 1
+    # bits[n + lit]: bit j is set iff assignment j of the block makes lit
+    # true. Variable v <= low alternates runs of 2**(v-1) false and true
+    # assignments; shift-and-or doubling builds that in linear time.
+    bits = [0] * (2 * n + 1)
+    for v in range(1, low + 1):
+        run = 1 << (v - 1)
+        pattern, period = ((1 << run) - 1) << run, 2 * run
+        while period < 1 << low:
+            pattern |= pattern << period
+            period *= 2
+        bits[n + v], bits[n - v] = pattern, full ^ pattern
+    for block in range(1 << (n - low)):
+        # a variable v > low is constant within a block: bit v-low-1 of it
+        for v in range(low + 1, n + 1):
+            on = block >> (v - low - 1) & 1
+            bits[n + v], bits[n - v] = (full, 0) if on else (0, full)
+        satisfying = full
+        for clause in formula.clauses:
+            covered = 0
+            for lit in clause:
+                covered |= bits[n + lit]
+            satisfying &= covered
+            if not satisfying:
+                break
+        if satisfying:
+            first = block << low | (satisfying & -satisfying).bit_length() - 1
             model = {v: bool((first >> (v - 1)) & 1) for v in range(1, n + 1)}
             return SolveResult("sat", model, SolveStats())
     return SolveResult("unsat", None, SolveStats())

@@ -1,10 +1,13 @@
 import os
 import random
 import stat
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import mucnf
 from mucnf.cnf import CnfFormula, evaluate
 from mucnf.generator import GeneratorParams, generate
 from mucnf.mu import delete_clause
@@ -111,12 +114,47 @@ class TestBruteForce:
     def test_cap_refusal(self):
         with pytest.raises(BruteForceCapError):
             solve_brute_force(CnfFormula(25, ((1,),)))
-        assert solve_brute_force(CnfFormula(25, ((1,),)), cap=25).status == "sat"
+
+    def test_first_model_beyond_the_first_block(self):
+        # 17 and 20 are constant within a block of 2**16 assignments, so the
+        # first model lies in block 0b1001 (17 and 20 true), with 1 true
+        r = solve_brute_force(CnfFormula(20, ((17,), (20,), (1, 2))))
+        assert r.status == "sat"
+        assert r.model == {v: v in (1, 17, 20) for v in range(1, 21)}
+
+    def test_conflict_among_block_variables_unsat(self):
+        f = CnfFormula(18, ((1, 2), (17, 18), (-17, 18), (17, -18), (-17, -18)))
+        assert solve_brute_force(f).status == "unsat"
+
+    def test_zero_variables(self):
+        r = solve_brute_force(CnfFormula(0, ()))
+        assert (r.status, r.model) == ("sat", {})
+        assert solve_brute_force(CnfFormula(0, ((),))).status == "unsat"
 
     def test_agrees_with_dpll(self, rng):
         for _ in range(300):
             f = random_kcnf(rng, rng.randint(4, 12), rng.randint(5, 50))
             assert solve_brute_force(f).status == solve_dpll(f).status
+
+    def test_agrees_with_dpll_over_several_blocks(self, rng):
+        statuses = []
+        for _ in range(30):
+            n = rng.randint(17, 20)
+            f = random_kcnf(rng, n, rng.randint(3 * n, 6 * n))
+            r = solve_brute_force(f)
+            assert r.status == solve_dpll(f).status
+            assert r.status == "unsat" or evaluate(f, r.model)
+            statuses.append(r.status)
+        assert {"sat", "unsat"} <= set(statuses)
+
+
+def test_package_imports_without_numpy():
+    # numpy is a test-only dependency: importing mucnf must not load it
+    src = os.path.dirname(os.path.dirname(mucnf.__file__))
+    code = "import sys, mucnf, mucnf.cli, mucnf.experiment; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 STUB_HONEST = """\

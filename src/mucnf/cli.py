@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .cnf import DimacsParseError, read_dimacs, write_dimacs
 from .experiment import format_table, trend_study, write_csv
-from .generator import GeneratorParams, generate, regenerate
+from .generator import GeneratorParams, generate, recognize
 from .mu import NotUnsatError, analyze_cells, analyze_mu
 from .solver import (
     ExternalSolverError,
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--early-exit", action="store_true",
                    help="stop at the first unsat deletion (MU flag only)")
     _add_backend_flags(p, default=None,
-                       help="default: cells if the file's params: comment "
-                            "regenerates it exactly, else dpll")
+                       help="default: cells if the clauses form a generated "
+                            "instance (comments are not read), else dpll")
 
     # experiment is a trend with one g: same flags, same run
     for command, g_type, g_help, summary in (
@@ -106,9 +106,15 @@ def _log_config(args: argparse.Namespace) -> None:
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DimacsParseError(f"not UTF-8 text (byte 0x{data[exc.start]:02x})",
+                               data.count(b"\n", 0, exc.start) + 1)
 
 
 def _resolve_backend(args: argparse.Namespace, default: str = "dpll") -> None:
@@ -154,13 +160,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         if args.command == "check-mu":
             formula = read_dimacs(_read_input(args.file))
-            instance = None
+            cells = None
             if args.backend is None and not args.solver:
-                instance = regenerate(formula)
-            _resolve_backend(args, "dpll" if instance is None else "cells")
+                cells = recognize(formula)
+            _resolve_backend(args, "dpll" if cells is None else "cells")
             _log_config(args)
-            if instance is not None:
-                report = analyze_cells(instance, early_exit=args.early_exit,
+            if cells is not None:
+                report = analyze_cells(formula, *cells, early_exit=args.early_exit,
                                        keep_witnesses=False)
             else:
                 solve = make_backend(args.backend, solver_command=args.solver,
@@ -209,6 +215,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (ExternalSolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return EXIT_OK
 

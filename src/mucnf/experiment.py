@@ -33,6 +33,10 @@ class BatchSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
+        # checked before any formula runs, so a batch never fails half way
+        if not 0 <= self.base_seed <= (1 << 64) - self.count:
+            raise ValueError(f"base seed {self.base_seed} with count {self.count} "
+                             f"leaves the 64-bit seed range [0, 2**64)")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
@@ -78,7 +82,8 @@ def _run_one(args) -> FormulaRecord:
     seed = spec.base_seed + index
     instance = build_instance(GeneratorParams(spec.k, spec.g, seed))
     t0 = time.perf_counter()
-    report = analyze_cells(instance, keep_witnesses=False)
+    report = analyze_cells(instance.formula, instance.p_cells, instance.q_cells,
+                           keep_witnesses=False)
     millis = (time.perf_counter() - t0) * 1000.0
     return FormulaRecord(
         index=index,

@@ -128,31 +128,50 @@ def generate(params: GeneratorParams) -> CnfFormula:
     return build_instance(params).formula
 
 
-def regenerate(formula: CnfFormula) -> Optional[GeneratedInstance]:
-    """The generated instance that `formula` is, rebuilt from its provenance.
+def recognize(formula: CnfFormula) -> Optional[Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]]:
+    """The p-cells and q-cells of a formula in the generated family, or None.
 
-    Reads the first `params: k=K g=G seed=S` comment, as build_instance
-    writes it, and returns the rebuilt instance only when its clauses equal
-    `formula`'s exactly. A missing, malformed or out-of-range comment, or a
-    formula that differs, gives None. Sizes are compared before anything is
-    built, so the cost stays proportional to the formula.
+    Reads the clauses only, never the comments. With k the first clause's
+    width, the variable and clause counts must be the generator's for some
+    g; they are checked before anything is built per variable. Then, per
+    polarity, the components of "shares a clause" must have
+    partition_in_order's sizes, and the clauses must be exactly each
+    component's k-subsets (so each has width k and that polarity, and, the
+    count being fixed, none repeats). Cells are ascending tuples, smaller first.
     """
-    line = next((c for c in formula.comments if c.startswith("params:")), None)
-    if line is None:
-        return None
-    fields = line.split()
-    names = ("params:", "k=", "g=", "seed=")
-    if len(fields) != len(names) or not all(map(str.startswith, fields, names)):
-        return None
-    try:
-        k, g, seed = (int(f.split("=", 1)[1]) for f in fields[1:])
-        params = GeneratorParams(k, g, seed)
-    except ValueError:
-        return None
     clauses = formula.clauses
-    # the clause width bounds k, and so the cost of num_clauses, by the input
-    if (params.num_variables != formula.num_variables or not clauses
-            or len(clauses[0]) != k or params.num_clauses != len(clauses)):
+    if not clauses or len(clauses[0]) < 2:
         return None
-    instance = build_instance(params)
-    return instance if instance.formula.clauses == clauses else None
+    k, n = len(clauses[0]), formula.num_variables
+    g, rest = divmod(n - 1, 2 * k - 2)
+    if rest or g < 1:
+        return None
+    params = GeneratorParams(k, g, 0)
+    if params.num_clauses != len(clauses):
+        return None
+    sizes = [len(cell) for cell in partition_in_order(params, range(1, n + 1))]
+    layouts = []
+    for positive in (True, False):
+        group = [c for c in clauses if (c[0] > 0) == positive]
+        root = list(range(n + 1))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        for clause in group:
+            for lit in clause[1:]:
+                root[find(abs(lit))] = find(abs(clause[0]))
+        components: dict = {}
+        for v in range(1, n + 1):
+            components.setdefault(find(v), []).append(v)
+        cells = sorted(map(tuple, components.values()), key=lambda c: (len(c), c))
+        if [len(cell) for cell in cells] != sizes:
+            return None
+        want = {c for cell in cells for c in cell_clauses(cell, k, positive)}
+        if {tuple(sorted(c, key=abs)) for c in group} != want:
+            return None
+        layouts.append(tuple(cells))
+    return layouts[0], layouts[1]

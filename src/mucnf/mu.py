@@ -8,10 +8,9 @@ unsatisfiable (MU) exactly when that number equals the clause count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .cnf import Assignment, CnfFormula, evaluate
-from .generator import GeneratedInstance
 from .solver import SolveResult, SolveTimeoutError, SolverIntegrityError
 
 SolveFn = Callable[[CnfFormula], SolveResult]
@@ -133,11 +132,17 @@ def _deletion_report(
 
 
 def analyze_cells(
-    instance: GeneratedInstance,
+    formula: CnfFormula,
+    p_cells: Sequence[Sequence[int]],
+    q_cells: Sequence[Sequence[int]],
     early_exit: bool = False,
     keep_witnesses: bool = True,
 ) -> MuReport:
-    """analyze_mu's report for a generated instance, by max-flow instead of search.
+    """analyze_mu's report for a generated formula, by max-flow instead of search.
+
+    `p_cells` and `q_cells` are the formula's two partitions, as
+    build_instance returns them or generator.recognize finds them; k is the
+    clause width, and the clauses may come in any order.
 
     The counting argument leaves every assignment violating some clause, so
     deleting the positive clause S of p-cell P* leaves a satisfiable formula
@@ -155,11 +160,10 @@ def analyze_cells(
     evaluate() against the formula with that clause deleted, early_exit
     stops at the first unsat deletion, and keep_witnesses keeps the models.
     """
-    formula = instance.formula
-    k = instance.params.k
+    k = len(formula.clauses[0])
     n = formula.num_variables
-    layouts = (instance.p_cells, instance.q_cells)
-    g = len(instance.p_cells)
+    layouts = (p_cells, q_cells)
+    g = len(p_cells)
     cell_of = ([0] * (n + 1), [0] * (n + 1))
     for side in (0, 1):
         for c, cell in enumerate(layouts[side]):

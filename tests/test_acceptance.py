@@ -156,7 +156,7 @@ def test_criterion_6_mu_report_soundness(row1_batch, trend_batches):
     for seed in range(20):
         inst = build_instance(GeneratorParams(3, 5, 20260826 + seed))
         f = inst.formula
-        for rep in (analyze_cells(inst), analyze_mu(f, solve_dpll)):
+        for rep in (analyze_cells(f, inst.p_cells, inst.q_cells), analyze_mu(f, solve_dpll)):
             for i, sat in enumerate(rep.deletion_sat):
                 if sat:
                     assert evaluate(delete_clause(f, i), rep.witnesses[i])

@@ -7,14 +7,21 @@ instances, against DPLL at (3, 5) and (3, 8), and against the counting
 oracle of tests/cell_oracle.py on hundreds of formulas.
 """
 
+import random
+
 import pytest
 
 import mucnf.mu
-from mucnf.generator import GeneratorParams, build_instance
+from mucnf.generator import GeneratorParams, build_instance, recognize
 from mucnf.mu import analyze_cells, analyze_mu, delete_clause
 from mucnf.cnf import evaluate
 from mucnf.solver import SolverIntegrityError, solve_brute_force, solve_dpll
 from tests.cell_oracle import deletion_outcomes
+from tests.conftest import scramble
+
+
+def cells_report(inst, **options):
+    return analyze_cells(inst.formula, inst.p_cells, inst.q_cells, **options)
 
 
 @pytest.mark.parametrize("k,g", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
@@ -26,7 +33,7 @@ def test_matches_brute_force_deletion_by_deletion(k, g):
         want = tuple(
             solve_brute_force(delete_clause(f, i)).is_sat for i in range(f.num_clauses)
         )
-        assert analyze_cells(inst).deletion_sat == want, seed
+        assert cells_report(inst).deletion_sat == want, seed
         verdicts.update(want)
     if g > 1:
         # both verdicts occur, so the comparison is not vacuous
@@ -38,7 +45,7 @@ def test_matches_dpll_report(g, count):
     for seed in range(count):
         inst = build_instance(GeneratorParams(3, g, 9000 + seed))
         want = analyze_mu(inst.formula, solve_dpll, keep_witnesses=False)
-        assert analyze_cells(inst, keep_witnesses=False) == want, seed
+        assert cells_report(inst, keep_witnesses=False) == want, seed
 
 
 @pytest.mark.parametrize("k,g,count", [(3, 5, 500), (4, 3, 50)])
@@ -46,28 +53,40 @@ def test_matches_counting_oracle(k, g, count):
     mu = 0
     for seed in range(count):
         inst = build_instance(GeneratorParams(k, g, 777 + seed))
-        report = analyze_cells(inst, keep_witnesses=False)
+        report = cells_report(inst, keep_witnesses=False)
         assert report.deletion_sat == deletion_outcomes(inst), seed
         mu += report.is_mu
     assert 0 < mu < count
 
 
+@pytest.mark.parametrize("k,g", [(2, 3), (3, 5), (4, 3)])
+def test_recognized_cells_of_scrambled_formulas(k, g):
+    # the partitions recognize() finds give the original report, clause by clause
+    rng = random.Random(f"{k}/{g}")
+    for seed in range(10):
+        inst = build_instance(GeneratorParams(k, g, seed))
+        want = cells_report(inst).deletion_sat
+        scrambled, _, order = scramble(inst.formula, rng)
+        report = analyze_cells(scrambled, *recognize(scrambled))
+        assert report.deletion_sat == tuple(want[i] for i in order), seed
+
+
 def test_witnesses_verify():
     inst = build_instance(GeneratorParams(3, 5, 4))
-    report = analyze_cells(inst)
+    report = cells_report(inst)
     assert set(report.witnesses) == {
         i for i, sat in enumerate(report.deletion_sat) if sat
     }
     for i, witness in report.witnesses.items():
         assert evaluate(delete_clause(inst.formula, i), witness)
-    assert analyze_cells(inst, keep_witnesses=False).witnesses == {}
+    assert cells_report(inst, keep_witnesses=False).witnesses == {}
 
 
 def test_early_exit_stops_at_first_unsat():
     for seed in range(20):
         inst = build_instance(GeneratorParams(3, 5, seed))
-        full = analyze_cells(inst)
-        fast = analyze_cells(inst, early_exit=True)
+        full = cells_report(inst)
+        fast = cells_report(inst, early_exit=True)
         assert fast.is_mu == full.is_mu
         if full.is_mu:
             assert fast == full
@@ -81,4 +100,4 @@ def test_tampered_witness_is_integrity_error(monkeypatch):
     # a flow that claims every deletion sat without moving any variable
     monkeypatch.setattr(mucnf.mu, "_cell_flow", lambda *args: {})
     with pytest.raises(SolverIntegrityError, match="deletion 0"):
-        analyze_cells(build_instance(GeneratorParams(3, 5, 1)))
+        cells_report(build_instance(GeneratorParams(3, 5, 1)))

@@ -1,7 +1,14 @@
+import io
+import random
+
 import pytest
 
+import mucnf.cli
+import mucnf.experiment
 from mucnf.cli import main
 from mucnf.cnf import CnfFormula, evaluate, write_dimacs
+from mucnf.generator import GeneratorParams, generate
+from tests.conftest import scramble
 
 
 def run(capsys, *argv):
@@ -66,11 +73,36 @@ class TestSolve:
         assert code == 4
 
     def test_reads_stdin_with_dash(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 1 2\n1 0\n-1 0\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"p cnf 1 2\n1 0\n-1 0\n")))
         code, out, _ = run(capsys, "solve", "-")
         assert code == 0
         assert "UNSAT" in out
+
+    @pytest.mark.parametrize("command", ["solve", "check-mu"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_non_utf8_input_is_parse_error(self, tmp_path, capsys, monkeypatch,
+                                           command, source):
+        data = b"p cnf 1 2\n1 0\n\xff-1 0\n"
+        path = tmp_path / "f.cnf"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = run(capsys, command, str(path) if source == "file" else "-")
+        assert code == 3
+        assert out == ""
+        assert "error: DIMACS parse error at line 3: not UTF-8 text (byte 0xff)" in err
+
+    def test_out_of_memory_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(mucnf.cli, "read_dimacs", exhausted)
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 1 1\n1 0\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: out of memory"
+        assert "Traceback" not in err
 
     def test_log_names_external_backend(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
@@ -149,19 +181,38 @@ class TestCheckMu:
         assert out == dpll_out
 
     @pytest.mark.parametrize("params", [
-        "params: k=3 g=5 seed=12",             # regenerates a different formula
+        "params: k=3 g=5 seed=12",             # names another formula
         "params: k=3 g=5 seed=banana",         # malformed
         "params: k=3 g=500000000000 seed=11",  # out of range
+        None,                                  # no comment at all
     ])
-    def test_unmatched_provenance_falls_back_to_dpll(self, tmp_path, capsys, params):
+    def test_comments_do_not_decide_the_backend(self, tmp_path, capsys, params):
         path = tmp_path / "f.cnf"
         run(capsys, "generate", "-k", "3", "-g", "5", "--seed", "11", "-o", str(path))
         _, want, _ = run(capsys, "check-mu", str(path))
-        path.write_text(path.read_text().replace("params: k=3 g=5 seed=11", params))
+        text = path.read_text()
+        if params is None:
+            text = "".join(line for line in text.splitlines(True) if not line.startswith("c"))
+        else:
+            text = text.replace("params: k=3 g=5 seed=11", params)
+        path.write_text(text)
         code, out, err = run(capsys, "check-mu", str(path))
         assert code == 0
-        assert "backend=dpll" in err
+        assert "backend=cells" in err
         assert out == want
+
+    @pytest.mark.parametrize("extra", [(), ("--early-exit",)], ids=["full", "early-exit"])
+    def test_scrambled_generated_file_uses_cells(self, tmp_path, capsys, extra):
+        f = generate(GeneratorParams(3, 5, 11))
+        path = tmp_path / "f.cnf"
+        path.write_text(write_dimacs(scramble(f, random.Random(3))[0]))
+        code, out, err = run(capsys, "check-mu", str(path), *extra)
+        assert code == 0
+        assert "backend=cells" in err
+        code, dpll_out, err = run(capsys, "check-mu", str(path), "--backend", "dpll", *extra)
+        assert code == 0
+        assert "backend=dpll" in err
+        assert out == dpll_out
 
     def test_early_exit_on_generated_file(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
@@ -211,6 +262,22 @@ class TestExperiment:
             main([command, "-k", "2", *flags, "-n", "1", "--base-seed", "0", *extra])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "-g", "5", "-n", "2", "--base-seed", str(2**64 - 1)],
+        ["experiment", "-g", "5", "-n", "2", "--base-seed", "-1"],
+        # row 0 fits; row 1 starts at 2**64 - 1 and needs two seeds
+        ["trend", "-g", "5,8", "-n", "2", "--base-seed", str(2**64 - 3)],
+    ])
+    def test_seed_range_checked_before_any_formula(self, capsys, monkeypatch, argv):
+        analysed = []
+        monkeypatch.setattr(mucnf.experiment, "analyze_cells",
+                            lambda *args, **kwargs: analysed.append(args))
+        code, out, err = run(capsys, argv[0], "-k", "3", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "with count 2 leaves the 64-bit seed range" in err
+        assert analysed == []
 
     def test_config_line_names_cells(self, capsys):
         code, _, err = run(capsys, "experiment", "-k", "2", "-g", "1", "-n", "1",

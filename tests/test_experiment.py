@@ -18,6 +18,14 @@ class TestBatchSpec:
         with pytest.raises(ValueError, match="count"):
             BatchSpec(3, 5, 0, 1)
 
+    @pytest.mark.parametrize("base_seed,count", [(-1, 1), (2**64 - 1, 2), (2**64, 1)])
+    def test_rejects_seeds_beyond_64_bits(self, base_seed, count):
+        with pytest.raises(ValueError, match=f"base seed {base_seed} with count {count}"):
+            BatchSpec(3, 5, count, base_seed)
+
+    def test_accepts_the_last_64_bit_seeds(self):
+        assert BatchSpec(3, 5, 2, 2**64 - 2).base_seed == 2**64 - 2
+
     def test_rejects_zero_parallelism(self):
         with pytest.raises(ValueError, match="parallelism"):
             BatchSpec(3, 5, 1, 1, parallelism=0)

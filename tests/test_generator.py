@@ -1,18 +1,21 @@
+import itertools
 import random
+import time
 from math import comb
 
 import pytest
 
-from mucnf.cnf import CnfFormula, evaluate, read_dimacs, write_dimacs
+from mucnf.cnf import CnfFormula, evaluate, write_dimacs
 from mucnf.generator import (
     GeneratorParams,
     build_instance,
     cell_clauses,
     generate,
     partition_in_order,
-    regenerate,
+    recognize,
 )
 from mucnf.solver import solve_brute_force
+from tests.conftest import pigeonhole, scramble
 
 
 class TestGeneratorParams:
@@ -134,42 +137,76 @@ class TestGenerate:
                 assert solve_brute_force(f).status == "unsat"
 
 
-class TestRegenerate:
-    def test_round_trip_through_dimacs(self):
-        for params in (GeneratorParams(2, 1, 0), GeneratorParams(3, 5, 2**64 - 1)):
-            inst = regenerate(read_dimacs(write_dimacs(generate(params))))
-            assert inst == build_instance(params)
+SHAPES = [(2, 1), (2, 3), (2, 10), (3, 1), (3, 5), (3, 8), (4, 3), (5, 2)]
 
-    def test_extra_comments_are_ignored(self):
-        f = generate(GeneratorParams(3, 4, 8))
-        g = CnfFormula(f.num_variables, f.clauses, ("renamed", "params: k=3 g=4 seed=8"))
-        assert regenerate(g).params == GeneratorParams(3, 4, 8)
 
-    @pytest.mark.parametrize("comment", [
-        None,
-        "params: k=3 g=5",
-        "params: k=3 g=5 seed=7 extra=1",
-        "params: g=5 k=3 seed=7",
-        "params: k=three g=5 seed=7",
-        "params: k=3 g=5 seed=-7",
-        "params: k=3 g=5 seed=18446744073709551616",
-        "params: k=1 g=5 seed=7",
-        "params: k=3 g=0 seed=7",
-        "params: k=3 g=999999999999999999999999 seed=7",
-        "params: k=3 g=5 seed=8",
-        "params: k=3 g=4 seed=7",
-        "params: k=4 g=5 seed=7",
+def as_sets(cells):
+    return {frozenset(cell) for cell in cells}
+
+
+class TestRecognize:
+    @pytest.mark.parametrize("k,g", SHAPES)
+    def test_generated_and_scrambled(self, k, g):
+        rng = random.Random(f"{k}/{g}")
+        for seed in range(5):
+            inst = build_instance(GeneratorParams(k, g, seed))
+            p_cells, q_cells = recognize(inst.formula)
+            assert p_cells == inst.p_cells
+            assert as_sets(q_cells) == as_sets(inst.q_cells)
+            scrambled, names, _ = scramble(inst.formula, rng)
+            p_cells, q_cells = recognize(scrambled)
+            for got, cells in ((p_cells, inst.p_cells), (q_cells, inst.q_cells)):
+                assert as_sets(got) == {frozenset(names[v] for v in c) for c in cells}
+
+    def test_comments_are_not_read(self):
+        f = generate(GeneratorParams(3, 5, 7))
+        want = recognize(f)
+        for comments in ((), ("params: k=3 g=5 seed=8",), ("params: k=three",)):
+            assert recognize(CnfFormula(f.num_variables, f.clauses, comments)) == want
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda cs: cs.pop(3), id="dropped"),
+        pytest.param(lambda cs: cs.__setitem__(1, cs[0]), id="duplicated"),
+        pytest.param(lambda cs: cs.append(cs[0]), id="appended-duplicate"),
+        pytest.param(lambda cs: cs.__setitem__(0, (-1, 2, 3)), id="flipped-sign"),
+        # (1, 2, 5) joins p-cells {1..4} and {5..8}, and (1, 2, 3) is gone
+        pytest.param(lambda cs: cs.__setitem__(0, (1, 2, 5)), id="moved-across-cells"),
     ])
-    def test_anything_but_its_own_provenance_gives_none(self, comment):
+    def test_edited_formula_gives_none(self, edit):
         f = generate(GeneratorParams(3, 5, 7))
-        comments = (comment,) if comment else ()
-        assert regenerate(CnfFormula(f.num_variables, f.clauses, comments)) is None
+        clauses = list(f.clauses)
+        edit(clauses)
+        assert recognize(CnfFormula(f.num_variables, tuple(clauses))) is None
 
-    def test_changed_clauses_give_none(self):
-        f = generate(GeneratorParams(3, 5, 7))
-        swapped = f.clauses[1:2] + f.clauses[:1] + f.clauses[2:]
-        assert regenerate(CnfFormula(f.num_variables, swapped, f.comments)) is None
-        assert regenerate(CnfFormula(f.num_variables, f.clauses[:-1], f.comments)) is None
+    def test_other_cell_sizes_give_none(self):
+        # all pairs over {1, 2, 3, 4} and nothing over 5..9 is as many
+        # positive clauses as cells of sizes 2, 2, 2, 3 have
+        negative = generate(GeneratorParams(2, 4, 1)).clauses[6:]
+        positive = tuple(itertools.combinations(range(1, 5), 2))
+        assert len(positive) == len(negative)
+        assert recognize(CnfFormula(9, positive + negative)) is None
+
+    @pytest.mark.parametrize("holes", [5, 6, 9])
+    def test_pigeonhole_is_not_generated(self, holes):
+        assert recognize(pigeonhole(holes)) is None
+
+    @pytest.mark.parametrize("formula", [
+        pytest.param(CnfFormula(0, ()), id="no-clauses"),
+        pytest.param(CnfFormula(1, ((1,), (-1,))), id="width-1"),
+        pytest.param(CnfFormula(1, ((1, -1),)), id="g-would-be-0"),
+        # 5 = 4g + 1 at k = 3 with g = 1, but the clause count is wrong
+        pytest.param(CnfFormula(5, ((1, 2, 3),)), id="clause-count"),
+        pytest.param(CnfFormula(22, generate(GeneratorParams(3, 5, 7)).clauses),
+                     id="unused-variable"),
+    ])
+    def test_sizes_not_the_generators(self, formula):
+        assert recognize(formula) is None
+
+    def test_huge_header_is_rejected_quickly(self):
+        t0 = time.perf_counter()
+        assert recognize(CnfFormula(10**9, ((1, 2),))) is None
+        assert recognize(CnfFormula(10**9 + 1, ((1, 2),))) is None
+        assert time.perf_counter() - t0 < 0.1
 
 
 def cell_count_ok(cells, sigma, k, want_false):

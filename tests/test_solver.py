@@ -21,7 +21,7 @@ from mucnf.solver import (
     solve_dpll,
     solve_external,
 )
-from tests.conftest import random_kcnf
+from tests.conftest import pigeonhole, random_kcnf
 
 
 class TestDpll:
@@ -82,15 +82,6 @@ class TestDpll:
             assert r.status == "unsat"
         else:
             assert [v for v in range(1, f.num_variables + 1) if r.model[v]] == true_vars
-
-
-def pigeonhole(holes: int) -> CnfFormula:
-    """PHP(holes+1, holes): variable 1 + p*holes + h puts pigeon p in hole h."""
-    var = lambda p, h: 1 + p * holes + h
-    clauses = [tuple(var(p, h) for h in range(holes)) for p in range(holes + 1)]
-    clauses += [(-var(a, h), -var(b, h))
-                for h in range(holes) for a in range(holes + 1) for b in range(a + 1, holes + 1)]
-    return CnfFormula((holes + 1) * holes, tuple(clauses))
 
 
 class TestBruteForce:

@@ -20,6 +20,7 @@ from .generator import GeneratorParams, generate, recognize
 from .mu import NotUnsatError, analyze_cells, analyze_mu
 from .solver import (
     ExternalSolverError,
+    SolveStats,
     SolveTimeoutError,
     SolverIntegrityError,
     make_backend,
@@ -117,6 +118,19 @@ def _read_input(path: str) -> str:
                                data.count(b"\n", 0, exc.start) + 1)
 
 
+def _g_list(text: str) -> list:
+    """trend's -g: comma-separated integers, every token one; [] for no value."""
+    if not text.strip(","):
+        return []  # trend_study reports the empty list
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"-g: {token!r} in {text!r} is not an integer") from None
+    return values
+
+
 def _resolve_backend(args: argparse.Namespace, default: str = "dpll") -> None:
     """Set args.backend to the backend the run uses, so the log names it."""
     if args.solver:
@@ -169,8 +183,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 report = analyze_cells(formula, *cells, early_exit=args.early_exit,
                                        keep_witnesses=False)
             else:
-                solve = make_backend(args.backend, solver_command=args.solver,
-                                     timeout=args.timeout)
+                backend = make_backend(args.backend, solver_command=args.solver,
+                                       timeout=args.timeout)
+                work = SolveStats()
+                solves = 0
+
+                def solve(f):
+                    nonlocal solves
+                    solves += 1
+                    result = backend(f)
+                    work.decisions += result.stats.decisions
+                    work.propagations += result.stats.propagations
+                    work.conflicts += result.stats.conflicts
+                    return result
+
                 try:
                     report = analyze_mu(formula, solve, early_exit=args.early_exit,
                                         keep_witnesses=False)
@@ -183,6 +209,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             verdict = {True: "yes", False: "no", None: "unknown"}[report.is_mu]
             print(f"MU: {verdict}, satisfiability number {sat_no}/{m}")
             print(f"deletions: {report.deletion_bitmap()}")
+            if cells is None:
+                print(f"solver: solves={solves} decisions={work.decisions} "
+                      f"propagations={work.propagations} conflicts={work.conflicts}",
+                      file=sys.stderr)
             return EXIT_OK
 
         if args.command in ("experiment", "trend"):
@@ -191,7 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.command == "experiment":
                 g_values = [args.g]
             else:
-                g_values = [int(tok) for tok in args.g.split(",") if tok]
+                g_values = _g_list(args.g)
             rows = trend_study(args.k, g_values, args.count, args.base_seed,
                                parallelism=args.parallelism)
             print(format_table(rows))

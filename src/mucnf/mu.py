@@ -81,19 +81,72 @@ def analyze_mu(
     early_exit: bool = False,
     keep_witnesses: bool = True,
 ) -> MuReport:
-    """Solve every single-clause deletion of an unsatisfiable formula.
+    """Decide every single-clause deletion of an unsatisfiable formula.
 
     Deletions run in clause-index order. With early_exit, analysis stops
     at the first unsat deletion (enough to refute MU); remaining entries
     are left undecided. Per-deletion timeouts are recorded as undecided
-    rather than aborting the report. Every sat outcome's witness is
-    re-verified with evaluate() before it is trusted.
+    rather than aborting the report.
+
+    Most sat deletions need no solve (recursive model rotation). A witness
+    for deletion i makes exactly clause i false; flipping one variable of
+    clause i makes it true, and if exactly one clause j is then false, the
+    new assignment is a candidate witness for j, and the walk goes on from
+    there. The walk is keyed on assignments, so it may pass a clause again
+    with another assignment, and it runs at most one step per clause after
+    each solved sat deletion. A deletion with a candidate is decided by it
+    without a solve, so one whose solve would time out may still be
+    decided. Every witness, the solver's or a rotated candidate, is
+    re-verified with evaluate() before it is trusted; kept witnesses may be
+    rotated candidates rather than the solver's models.
     """
     base = solve(formula)
     if base.is_sat:
         raise NotUnsatError("formula is satisfiable; minimal unsatisfiability is undefined")
-    return _deletion_report(formula, lambda i, reduced: solve(reduced).model,
-                            early_exit, keep_witnesses)
+    clauses = formula.clauses
+    m, n = len(clauses), formula.num_variables
+    # assignments are int bitsets, bit v set iff variable v is true; clause c
+    # is false under `bits` iff bits & pos[c] == 0 and bits & neg[c] == neg[c]
+    pos = [sum(1 << lit for lit in clause if lit > 0) for clause in clauses]
+    neg = [sum(1 << -lit for lit in clause if lit < 0) for clause in clauses]
+    occ: list[list[int]] = [[] for _ in range(2 * n + 1)]  # occ[n + lit]
+    for c, clause in enumerate(clauses):
+        for lit in clause:
+            occ[n + lit].append(c)
+    seen: set = set()
+    candidates: Dict[int, int] = {}
+
+    def walk(i: int, bits: int) -> None:
+        """Rotate the witness `bits` of clause i, for at most m steps."""
+        seen.add(bits)
+        stack = [(i, bits)]
+        for _ in range(m):
+            if not stack:
+                return
+            i, bits = stack.pop()
+            for lit in clauses[i]:
+                flipped = bits ^ (1 << abs(lit))
+                if flipped in seen:
+                    continue
+                seen.add(flipped)
+                # only clauses holding -lit, which the flip made false, can
+                # be false now
+                false = [c for c in occ[n - lit]
+                         if not flipped & pos[c] and flipped & neg[c] == neg[c]]
+                if len(false) == 1:
+                    candidates.setdefault(false[0], flipped)
+                    stack.append((false[0], flipped))
+
+    def model_for(i: int, reduced: CnfFormula) -> Optional[Assignment]:
+        if i in candidates:
+            bits = candidates[i]
+            return {v: bool(bits >> v & 1) for v in range(1, n + 1)}
+        model = solve(reduced).model
+        if model is not None:
+            walk(i, sum(1 << v for v in range(1, n + 1) if model.get(v)))
+        return model
+
+    return _deletion_report(formula, model_for, early_exit, keep_witnesses)
 
 
 def _deletion_report(

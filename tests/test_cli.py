@@ -8,7 +8,9 @@ import mucnf.experiment
 from mucnf.cli import main
 from mucnf.cnf import CnfFormula, evaluate, write_dimacs
 from mucnf.generator import GeneratorParams, generate
-from tests.conftest import scramble
+from mucnf.mu import analyze_mu
+from mucnf.solver import solve_dpll
+from tests.conftest import pigeonhole, scramble
 
 
 def run(capsys, *argv):
@@ -221,6 +223,32 @@ class TestCheckMu:
                 for extra in ((), ("--backend", "dpll"))]
         assert outs[0] == outs[1]
 
+    def test_solver_work_goes_to_stderr(self, tmp_path, capsys):
+        path = tmp_path / "php.cnf"
+        path.write_text(write_dimacs(pigeonhole(5)))
+        code, out, err = run(capsys, "check-mu", str(path))
+        assert code == 0
+        assert out == f"MU: yes, satisfiability number 81/81\ndeletions: {'1' * 81}\n"
+        results = []
+
+        def recording(f):
+            results.append(solve_dpll(f))
+            return results[-1]
+
+        analyze_mu(pigeonhole(5), recording)
+        assert len(results) == 7  # the pinned count of tests/test_mu.py
+        total = lambda name: sum(getattr(r.stats, name) for r in results)
+        assert err.splitlines()[-1] == (
+            f"solver: solves=7 decisions={total('decisions')} "
+            f"propagations={total('propagations')} conflicts={total('conflicts')}")
+
+    def test_cells_reports_no_solver_work(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        run(capsys, "generate", "-k", "3", "-g", "5", "--seed", "11", "-o", str(path))
+        code, _, err = run(capsys, "check-mu", str(path))
+        assert code == 0
+        assert "solver:" not in err
+
     def test_rerun_is_identical(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
         run(capsys, "generate", "-k", "2", "-g", "2", "--seed", "5", "-o", str(path))
@@ -310,3 +338,11 @@ class TestTrend:
         assert code == 2
         assert out == ""
         assert "must not be empty" in err
+
+    @pytest.mark.parametrize("g,token", [("5,,8", "''"), ("a", "'a'"), ("5,", "''")])
+    def test_bad_g_token_is_usage_error(self, capsys, g, token):
+        code, out, err = run(capsys, "trend", "-k", "3", "-g", g, "-n", "2",
+                             "--base-seed", "0")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: -g: {token} in {g!r} is not an integer"

@@ -1,16 +1,20 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mucnf.cnf import CnfFormula, evaluate
 from mucnf.generator import GeneratorParams, generate
-from mucnf.mu import MuReport, NotUnsatError, analyze_mu, delete_clause
+from mucnf.mu import MuReport, NotUnsatError, _deletion_report, analyze_mu, delete_clause
 from mucnf.solver import (
+    SolveResult,
     SolveTimeoutError,
     SolverIntegrityError,
     solve_brute_force,
     solve_dpll,
 )
+from tests.conftest import pigeonhole, random_kcnf, scramble
 
 
 class TestDeleteClause:
@@ -122,3 +126,108 @@ class TestAnalyzeMu:
                         continue
                     sub = delete_clause(delete_clause(f, max(i, j)), min(i, j))
                     assert solve_brute_force(sub).status == "sat"
+
+
+def rotation_free(formula, solve, early_exit=False):
+    """analyze_mu's deletions with one solve each: the reference for the walk."""
+    return _deletion_report(formula, lambda i, reduced: solve(reduced).model,
+                            early_exit, False)
+
+
+def _unsat_3cnfs(count, seed=5):
+    rng, found = random.Random(seed), []
+    while len(found) < count:
+        f = random_kcnf(rng, 12, 60)
+        if not solve_dpll(f).is_sat:
+            found.append(f)
+    return found
+
+
+class TestModelRotation:
+    # (3,5) seeds 0 and 3, (2,20) seed 0 and (4,3) seed 1 are not MU
+    CASES = (
+        [(f"php{h + 1},{h}", lambda h=h: scramble(pigeonhole(h), random.Random(h))[0])
+         for h in range(3, 7)]
+        + [(f"gen{k},{g},{seed}", lambda k=k, g=g, seed=seed: generate(GeneratorParams(k, g, seed)))
+           for k, g, seeds in ((3, 5, range(6)), (2, 20, range(2)), (4, 3, (1,)))
+           for seed in seeds]
+        + [(f"rand{j}", lambda j=j: _unsat_3cnfs(3)[j]) for j in range(3)]
+    )
+
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["full", "early-exit"])
+    @pytest.mark.parametrize("make", [make for _, make in CASES], ids=[n for n, _ in CASES])
+    def test_same_deletions_as_one_solve_each(self, make, early_exit):
+        f = make()
+        report = analyze_mu(f, solve_dpll, early_exit=early_exit)
+        assert report.deletion_sat == rotation_free(f, solve_dpll, early_exit).deletion_sat
+        for i, witness in report.witnesses.items():
+            assert evaluate(delete_clause(f, i), witness)
+
+    @pytest.mark.parametrize("holes,solves", [(5, 7), (6, 10)])
+    def test_pigeonhole_solve_counts_are_pinned(self, holes, solves):
+        # one solve per clause plus the whole formula before the walk:
+        # 82 for PHP(6,5), 134 for PHP(7,6)
+        calls = []
+
+        def counted(formula):
+            calls.append(formula)
+            return solve_dpll(formula)
+
+        report = analyze_mu(pigeonhole(holes), counted, keep_witnesses=False)
+        assert report.is_mu is True
+        assert len(calls) == solves
+
+    def test_walk_decides_deletions_whose_solve_times_out(self):
+        def timing_out_after_first_sat(formula):
+            if timing_out_after_first_sat.sat:
+                raise SolveTimeoutError("simulated")
+            result = solve_dpll(formula)
+            timing_out_after_first_sat.sat = result.is_sat
+            return result
+        timing_out_after_first_sat.sat = False
+        report = analyze_mu(pigeonhole(4), timing_out_after_first_sat)
+        # one solve found a model; the walk decided the others
+        assert set(report.deletion_sat) == {True, None}
+        assert report.deletion_sat.count(True) > 10
+
+    def test_corrupted_candidate_is_integrity_error(self):
+        class Skewed(dict):
+            """A model whose get() disagrees with indexing on variable 1: the
+            walk reads models through get(), evaluate() by index, so the
+            solver's own model verifies and the candidates built from it are
+            corrupted."""
+            def get(self, v, default=None):
+                return not self[v] if v == 1 else self[v]
+
+        def skewing(formula):
+            result = solve_dpll(formula)
+            if result.is_sat:
+                result = SolveResult("sat", Skewed(result.model), result.stats)
+            return result
+
+        with pytest.raises(SolverIntegrityError, match="non-verifying model"):
+            analyze_mu(pigeonhole(4), skewing)
+
+
+@st.composite
+def small_unsat_cnfs(draw):
+    """Random clauses of width 1-3 over at most 5 variables, then one clause
+    blocking each model in turn until nothing satisfies the formula."""
+    n = draw(st.integers(1, 5))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(
+        st.lists(lit, min_size=1, max_size=3, unique_by=abs).map(tuple), max_size=12))
+    while True:
+        result = solve_brute_force(CnfFormula(n, tuple(clauses)))
+        if not result.is_sat:
+            return CnfFormula(n, tuple(clauses))
+        clauses.append(tuple(-v if result.model[v] else v for v in range(1, n + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_unsat_cnfs(), st.booleans())
+def test_dpll_and_brute_force_give_the_same_deletions(f, early_exit):
+    dpll = analyze_mu(f, solve_dpll, early_exit=early_exit)
+    brute = analyze_mu(f, solve_brute_force, early_exit=early_exit)
+    assert dpll.deletion_sat == brute.deletion_sat
+    assert dpll.deletion_sat == rotation_free(f, solve_brute_force, early_exit).deletion_sat

@@ -9,6 +9,7 @@ stderr before any output, so any output is reproducible from its own log.
 from __future__ import annotations
 
 import argparse
+import math
 import secrets
 import sys
 from typing import Optional, Sequence
@@ -39,7 +40,7 @@ def _add_backend_flags(p: argparse.ArgumentParser, default="dpll", help=None) ->
     p.add_argument("--solver", metavar="CMD", default=None,
                    help="external solver command (implies --backend external)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                   help="per-solve deadline")
+                   help="per-solve deadline, a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,6 +145,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        timeout = getattr(args, "timeout", None)
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise ValueError(f"--timeout: {timeout:g} is not a finite number > 0")
+
         if args.command == "generate":
             args.seed = _resolve_seed(args.seed, "--seed")
             _log_config(args)
@@ -170,6 +175,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print("v " + " ".join(map(str, lits)) + " 0")
             else:
                 print("UNSAT")
+            stats = result.stats
+            print(f"solver: decisions={stats.decisions} propagations={stats.propagations} "
+                  f"conflicts={stats.conflicts}", file=sys.stderr)
             return EXIT_OK
 
         if args.command == "check-mu":

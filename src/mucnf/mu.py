@@ -99,6 +99,14 @@ def analyze_mu(
     decided. Every witness, the solver's or a rotated candidate, is
     re-verified with evaluate() before it is trusted; kept witnesses may be
     rotated candidates rather than the solver's models.
+
+    A deletion that needs a solve is solved under the negation of its
+    clause: the formula without clause i plus the unit clause (-l) for each
+    literal l of clause i. The whole formula is unsat, so every model of
+    the formula without clause i falsifies clause i; the units change no
+    verdict and only prune the search. Their models are models of the
+    deletion, so the witness check is unchanged, but the solver may return
+    other models than without the units, so kept witnesses may differ.
     """
     base = solve(formula)
     if base.is_sat:
@@ -141,7 +149,10 @@ def analyze_mu(
         if i in candidates:
             bits = candidates[i]
             return {v: bool(bits >> v & 1) for v in range(1, n + 1)}
-        model = solve(reduced).model
+        # the units of ¬C_i are sound only because `formula` was shown unsat
+        # above: then every model of `reduced` falsifies clause i
+        units = tuple((-lit,) for lit in clauses[i])
+        model = solve(CnfFormula(n, reduced.clauses + units)).model
         if model is not None:
             walk(i, sum(1 << v for v in range(1, n + 1) if model.get(v)))
         return model

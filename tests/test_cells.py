@@ -10,6 +10,7 @@ oracle of tests/cell_oracle.py on hundreds of formulas.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mucnf.mu
 from mucnf.generator import GeneratorParams, build_instance, recognize
@@ -38,6 +39,14 @@ def test_matches_brute_force_deletion_by_deletion(k, g):
     if g > 1:
         # both verdicts occur, so the comparison is not vacuous
         assert verdicts == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 3), st.integers(0, 2**64 - 1), st.booleans())
+def test_matches_dpll_on_random_seeds(k, g, seed, early_exit):
+    inst = build_instance(GeneratorParams(k, g, seed))
+    want = analyze_mu(inst.formula, solve_dpll, early_exit=early_exit)
+    assert cells_report(inst, early_exit=early_exit).deletion_bitmap() == want.deletion_bitmap()
 
 
 @pytest.mark.parametrize("g,count", [(5, 20), (8, 2)])

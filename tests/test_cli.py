@@ -74,6 +74,28 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path), "--timeout", "0.001")
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["solve", "check-mu"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_timeout_must_be_finite_and_positive(self, tmp_path, capsys, command, value):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        code, out, err = run(capsys, command, str(path), "--timeout", value)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"error: --timeout: {value} is not a finite number > 0")
+
+    def test_solver_work_goes_to_stderr(self, tmp_path, capsys):
+        path = tmp_path / "php.cnf"
+        path.write_text(write_dimacs(pigeonhole(5)))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 0
+        assert out == "UNSAT\n"
+        stats = solve_dpll(pigeonhole(5)).stats
+        assert err.splitlines()[-1] == (
+            f"solver: decisions={stats.decisions} propagations={stats.propagations} "
+            f"conflicts={stats.conflicts}")
+
     def test_reads_stdin_with_dash(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"p cnf 1 2\n1 0\n-1 0\n")))
         code, out, _ = run(capsys, "solve", "-")

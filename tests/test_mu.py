@@ -177,6 +177,19 @@ class TestModelRotation:
         assert report.is_mu is True
         assert len(calls) == solves
 
+    @pytest.mark.parametrize("holes,decisions", [(5, 258), (6, 1476)])
+    def test_pigeonhole_decisions_are_pinned(self, holes, decisions):
+        # summed over every solve; 650 for PHP(6,5) and 4,052 for PHP(7,6)
+        # when the deletions were solved without the units of ¬C_i
+        results = []
+
+        def recording(formula):
+            results.append(solve_dpll(formula))
+            return results[-1]
+
+        analyze_mu(pigeonhole(holes), recording, keep_witnesses=False)
+        assert sum(r.stats.decisions for r in results) == decisions
+
     def test_walk_decides_deletions_whose_solve_times_out(self):
         def timing_out_after_first_sat(formula):
             if timing_out_after_first_sat.sat:
@@ -207,6 +220,54 @@ class TestModelRotation:
 
         with pytest.raises(SolverIntegrityError, match="non-verifying model"):
             analyze_mu(pigeonhole(4), skewing)
+
+
+class TestNegatedClauseUnits:
+    @pytest.mark.parametrize("make", [lambda: scramble(pigeonhole(4), random.Random(4))[0],
+                                      lambda: _unsat_3cnfs(1)[0]], ids=["php5,4", "rand0"])
+    def test_deletion_solves_get_the_units_of_the_deleted_clause(self, make):
+        f = make()
+        calls = []
+
+        def recording(formula):
+            calls.append(formula)
+            return solve_dpll(formula)
+
+        analyze_mu(f, recording)
+        assert calls[0] == f
+        solved = []
+        for call in calls[1:]:
+            # formula without clause i, then (-l,) for each l of clause i, in order
+            matches = [i for i, clause in enumerate(f.clauses)
+                       if call.clauses == delete_clause(f, i).clauses
+                       + tuple((-lit,) for lit in clause)]
+            assert len(matches) == 1
+            solved.append(matches[0])
+        assert solved and solved == sorted(set(solved))
+
+    EDGE_CASES = {
+        # deleting a tautology gives conflicting units; the rest is still unsat
+        "tautology": CnfFormula(3, ((3, -3), (1, 2), (-1,), (-2, 3), (-2, -3))),
+        # the empty clause gives no units, and its deletion is the only sat one
+        "empty-clause": CnfFormula(2, ((), (1, 2), (-1,))),
+    }
+
+    @pytest.mark.parametrize("early_exit", [False, True], ids=["full", "early-exit"])
+    @pytest.mark.parametrize("solve", [solve_dpll, solve_brute_force], ids=["dpll", "brute"])
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_cases_match_the_reference(self, name, solve, early_exit):
+        f = self.EDGE_CASES[name]
+        report = analyze_mu(f, solve, early_exit=early_exit)
+        assert report.deletion_sat == rotation_free(f, solve, early_exit).deletion_sat
+        assert report.deletion_sat[0] is (name == "empty-clause")
+        for i, witness in report.witnesses.items():
+            assert evaluate(delete_clause(f, i), witness)
+
+    def test_dpll_and_brute_force_agree_on_random_3cnfs(self):
+        for f in _unsat_3cnfs(5):
+            dpll = analyze_mu(f, solve_dpll, keep_witnesses=False)
+            brute = analyze_mu(f, solve_brute_force, keep_witnesses=False)
+            assert dpll.deletion_bitmap() == brute.deletion_bitmap()
 
 
 @st.composite

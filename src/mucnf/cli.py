@@ -188,8 +188,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _resolve_backend(args, "dpll" if cells is None else "cells")
             _log_config(args)
             if cells is not None:
-                report = analyze_cells(formula, *cells, early_exit=args.early_exit,
-                                       keep_witnesses=False)
+                report = analyze_cells(formula, *cells, early_exit=args.early_exit)
             else:
                 backend = make_backend(args.backend, solver_command=args.solver,
                                        timeout=args.timeout)
@@ -206,8 +205,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     return result
 
                 try:
-                    report = analyze_mu(formula, solve, early_exit=args.early_exit,
-                                        keep_witnesses=False)
+                    report = analyze_mu(formula, solve, early_exit=args.early_exit)
                 except NotUnsatError as exc:
                     print(f"error: {exc}", file=sys.stderr)
                     return 1

@@ -107,6 +107,7 @@ def read_dimacs(text: str) -> CnfFormula:
     declared_clauses = None
     clauses = []
     current: list[int] = []
+    seen: set[int] = set()
     current_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -142,6 +143,7 @@ def read_dimacs(text: str) -> CnfFormula:
             if lit == 0:
                 clauses.append(tuple(current))
                 current = []
+                seen.clear()
             else:
                 if abs(lit) > num_variables:
                     raise DimacsParseError(
@@ -149,6 +151,10 @@ def read_dimacs(text: str) -> CnfFormula:
                         f"{num_variables} variables)",
                         line_no,
                     )
+                if lit in seen:
+                    raise DimacsParseError(
+                        f"clause {len(clauses)}: duplicate literal {lit}", line_no)
+                seen.add(lit)
                 current.append(lit)
                 current_line = line_no
     if num_variables is None:
@@ -160,7 +166,4 @@ def read_dimacs(text: str) -> CnfFormula:
             f"header declares {declared_clauses} clauses but found {len(clauses)}",
             len(text.splitlines()),
         )
-    try:
-        return CnfFormula(num_variables, tuple(clauses), tuple(comments))
-    except ValueError as exc:
-        raise DimacsParseError(str(exc), len(text.splitlines()))
+    return CnfFormula(num_variables, tuple(clauses), tuple(comments))

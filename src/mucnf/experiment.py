@@ -28,7 +28,6 @@ class BatchSpec:
     g: int
     count: int
     base_seed: int
-    parallelism: int = 1
 
     def __post_init__(self):
         if self.count < 1:
@@ -37,8 +36,6 @@ class BatchSpec:
         if not 0 <= self.base_seed <= (1 << 64) - self.count:
             raise ValueError(f"base seed {self.base_seed} with count {self.count} "
                              f"leaves the 64-bit seed range [0, 2**64)")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
 
 @dataclass
@@ -82,8 +79,7 @@ def _run_one(args) -> FormulaRecord:
     seed = spec.base_seed + index
     instance = build_instance(GeneratorParams(spec.k, spec.g, seed))
     t0 = time.perf_counter()
-    report = analyze_cells(instance.formula, instance.p_cells, instance.q_cells,
-                           keep_witnesses=False)
+    report = analyze_cells(instance.formula, instance.p_cells, instance.q_cells)
     millis = (time.perf_counter() - t0) * 1000.0
     return FormulaRecord(
         index=index,
@@ -96,14 +92,16 @@ def _run_one(args) -> FormulaRecord:
     )
 
 
-def _run_specs(specs: Sequence[BatchSpec]) -> List[BatchStats]:
+def _run_specs(specs: Sequence[BatchSpec], parallelism: int) -> List[BatchStats]:
     """Analyze every formula of every spec, in order, on one pool of workers.
 
-    The specs share one parallelism, capped at the number of formulas: the
-    pool forks all its workers at the first submit.
+    `parallelism` is checked before any formula runs, and capped at the
+    number of formulas: the pool forks all its workers at the first submit.
     """
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     jobs = [(i, spec) for spec in specs for i in range(spec.count)]
-    parallelism = min(max((spec.parallelism for spec in specs), default=1), len(jobs))
+    parallelism = min(parallelism, len(jobs))
     with contextlib.ExitStack() as stack:
         if parallelism > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallelism))
@@ -138,9 +136,9 @@ def _aggregate(spec: BatchSpec, records: List[FormulaRecord]) -> BatchStats:
     )
 
 
-def run_batch(spec: BatchSpec) -> BatchStats:
-    """Analyze `spec.count` formulas; deterministic apart from timings."""
-    return _run_specs([spec])[0]
+def run_batch(spec: BatchSpec, parallelism: int = 1) -> BatchStats:
+    """Analyze `spec.count` formulas on `parallelism` workers; deterministic but for timings."""
+    return _run_specs([spec], parallelism)[0]
 
 
 def trend_study(
@@ -159,11 +157,10 @@ def trend_study(
     if list(g_values) != sorted(g_values):
         raise ValueError("g values must be ascending")
     specs = [
-        BatchSpec(k=k, g=g, count=count, base_seed=base_seed + i * count,
-                  parallelism=parallelism)
+        BatchSpec(k=k, g=g, count=count, base_seed=base_seed + i * count)
         for i, g in enumerate(g_values)
     ]
-    return _run_specs(specs)
+    return _run_specs(specs, parallelism)
 
 
 def format_table(rows: Sequence[BatchStats]) -> str:

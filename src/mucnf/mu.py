@@ -7,7 +7,7 @@ unsatisfiable (MU) exactly when that number equals the clause count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .cnf import Assignment, CnfFormula, evaluate
@@ -40,9 +40,12 @@ class MuReport:
     may be unknown (None).
     """
 
-    clause_count: int
     deletion_sat: Tuple[Optional[bool], ...]
-    witnesses: Dict[int, Assignment] = field(default_factory=dict)
+    witnesses: Dict[int, Assignment]
+
+    @property
+    def clause_count(self) -> int:
+        return len(self.deletion_sat)
 
     @property
     def sat_number_range(self) -> Tuple[int, int]:
@@ -79,7 +82,6 @@ def analyze_mu(
     formula: CnfFormula,
     solve: SolveFn,
     early_exit: bool = False,
-    keep_witnesses: bool = True,
 ) -> MuReport:
     """Decide every single-clause deletion of an unsatisfiable formula.
 
@@ -97,8 +99,7 @@ def analyze_mu(
     each solved sat deletion. A deletion with a candidate is decided by it
     without a solve, so one whose solve would time out may still be
     decided. Every witness, the solver's or a rotated candidate, is
-    re-verified with evaluate() before it is trusted; kept witnesses may be
-    rotated candidates rather than the solver's models.
+    re-verified with evaluate() before it is trusted, and the report keeps it.
 
     A deletion that needs a solve is solved under the negation of its
     clause: the formula without clause i plus the unit clause (-l) for each
@@ -106,7 +107,8 @@ def analyze_mu(
     the formula without clause i falsifies clause i; the units change no
     verdict and only prune the search. Their models are models of the
     deletion, so the witness check is unchanged, but the solver may return
-    other models than without the units, so kept witnesses may differ.
+    other models than without the units, so the witnesses may differ.
+    model_for(i) takes only the clause index: see _deletion_report.
     """
     base = solve(formula)
     if base.is_sat:
@@ -145,41 +147,40 @@ def analyze_mu(
                     candidates.setdefault(false[0], flipped)
                     stack.append((false[0], flipped))
 
-    def model_for(i: int, reduced: CnfFormula) -> Optional[Assignment]:
+    def model_for(i: int) -> Optional[Assignment]:
         if i in candidates:
             bits = candidates[i]
             return {v: bool(bits >> v & 1) for v in range(1, n + 1)}
         # the units of ¬C_i are sound only because `formula` was shown unsat
-        # above: then every model of `reduced` falsifies clause i
+        # above: then every model of the formula without clause i falsifies it
         units = tuple((-lit,) for lit in clauses[i])
-        model = solve(CnfFormula(n, reduced.clauses + units)).model
+        model = solve(CnfFormula(n, clauses[:i] + clauses[i + 1:] + units)).model
         if model is not None:
             walk(i, sum(1 << v for v in range(1, n + 1) if model.get(v)))
         return model
 
-    return _deletion_report(formula, model_for, early_exit, keep_witnesses)
+    return _deletion_report(formula, model_for, early_exit)
 
 
 def _deletion_report(
     formula: CnfFormula,
-    model_for: Callable[[int, CnfFormula], Optional[Assignment]],
+    model_for: Callable[[int], Optional[Assignment]],
     early_exit: bool,
-    keep_witnesses: bool,
 ) -> MuReport:
     """Decide every deletion, in clause-index order, with `model_for`.
 
-    model_for(i, reduced) returns a model of `reduced` (the formula without
-    clause i), or None when it is unsat; a SolveTimeoutError leaves the
-    deletion undecided. Every model is re-verified with evaluate() before it
-    is trusted. With early_exit the loop stops at the first unsat deletion.
+    model_for(i) returns a model of the formula without clause i, or None
+    when it is unsat; a SolveTimeoutError leaves the deletion undecided. A
+    copy of the formula without clause i is built only for a model, which
+    evaluate() re-verifies on it before the report keeps it as the witness.
+    With early_exit the loop stops at the first unsat deletion.
     """
     m = len(formula.clauses)
     outcomes: list[Optional[bool]] = [None] * m
     witnesses: Dict[int, Assignment] = {}
     for i in range(m):
-        reduced = delete_clause(formula, i)
         try:
-            model = model_for(i, reduced)
+            model = model_for(i)
         except SolveTimeoutError:
             continue
         if model is None:
@@ -187,12 +188,11 @@ def _deletion_report(
             if early_exit:
                 break
             continue
-        if not evaluate(reduced, model):
+        if not evaluate(delete_clause(formula, i), model):
             raise SolverIntegrityError(f"non-verifying model for deletion {i}")
         outcomes[i] = True
-        if keep_witnesses:
-            witnesses[i] = model
-    return MuReport(m, tuple(outcomes), witnesses)
+        witnesses[i] = model
+    return MuReport(tuple(outcomes), witnesses)
 
 
 def analyze_cells(
@@ -200,7 +200,6 @@ def analyze_cells(
     p_cells: Sequence[Sequence[int]],
     q_cells: Sequence[Sequence[int]],
     early_exit: bool = False,
-    keep_witnesses: bool = True,
 ) -> MuReport:
     """analyze_mu's report for a generated formula, by max-flow instead of search.
 
@@ -220,9 +219,9 @@ def analyze_cells(
     and true and false, swapped.
 
     One flow serves every clause with the same side, cell and profile
-    |S ∩ Q_j|. As in analyze_mu, every witness is re-verified with
-    evaluate() against the formula with that clause deleted, early_exit
-    stops at the first unsat deletion, and keep_witnesses keeps the models.
+    |S ∩ Q_j|. As in analyze_mu, an unsat deletion builds no formula copy,
+    every witness is re-verified with evaluate() and kept in the report,
+    and early_exit stops at the first unsat deletion.
     """
     k = len(formula.clauses[0])
     n = formula.num_variables
@@ -245,7 +244,7 @@ def analyze_cells(
 
     flows: Dict[tuple, Optional[Dict[Tuple[int, int], int]]] = {}
 
-    def model_for(i: int, reduced: CnfFormula) -> Optional[Assignment]:
+    def model_for(i: int) -> Optional[Assignment]:
         clause = formula.clauses[i]
         side = 0 if clause[0] > 0 else 1
         home = cell_of[side][abs(clause[0])]
@@ -267,7 +266,7 @@ def analyze_cells(
                 witness[v] = not fill
         return witness
 
-    return _deletion_report(formula, model_for, early_exit, keep_witnesses)
+    return _deletion_report(formula, model_for, early_exit)
 
 
 def _cell_flow(

@@ -97,7 +97,7 @@ def test_criterion_4_row1_statistics(row1_batch):
     disagreements = 0
     for r in s.per_formula:
         inst = build_instance(GeneratorParams(3, 5, r.seed))
-        dpll = analyze_mu(inst.formula, solve_dpll, keep_witnesses=False)
+        dpll = analyze_mu(inst.formula, solve_dpll)
         oracle = "".join("1" if sat else "0" for sat in deletion_outcomes(inst))
         if not r.deletion_bitmap == dpll.deletion_bitmap() == oracle:
             disagreements += 1

@@ -53,8 +53,8 @@ def test_matches_dpll_on_random_seeds(k, g, seed, early_exit):
 def test_matches_dpll_report(g, count):
     for seed in range(count):
         inst = build_instance(GeneratorParams(3, g, 9000 + seed))
-        want = analyze_mu(inst.formula, solve_dpll, keep_witnesses=False)
-        assert cells_report(inst, keep_witnesses=False) == want, seed
+        want = analyze_mu(inst.formula, solve_dpll)
+        assert cells_report(inst).deletion_sat == want.deletion_sat, seed
 
 
 @pytest.mark.parametrize("k,g,count", [(3, 5, 500), (4, 3, 50)])
@@ -62,7 +62,7 @@ def test_matches_counting_oracle(k, g, count):
     mu = 0
     for seed in range(count):
         inst = build_instance(GeneratorParams(k, g, 777 + seed))
-        report = cells_report(inst, keep_witnesses=False)
+        report = cells_report(inst)
         assert report.deletion_sat == deletion_outcomes(inst), seed
         mu += report.is_mu
     assert 0 < mu < count
@@ -80,6 +80,44 @@ def test_recognized_cells_of_scrambled_formulas(k, g):
         assert report.deletion_sat == tuple(want[i] for i in order), seed
 
 
+def lemma_clauses(inst, k):
+    """Clauses whose k variables all lie in one cell of size 2k-2 of the
+    other partition: a q-cell for a positive clause, a p-cell for a negative
+    one. The counting lemma says deleting such a clause leaves the formula
+    unsat. For a positive clause S: a model of the rest makes S false, and
+    counting false variables over the p-cells and the q-cells then leaves
+    every q-cell Q_j exactly |Q_j| - (k-1) false ones. A q-cell of size
+    2k-2 that holds S has k false ones, more than k-1."""
+    named = []
+    for i, clause in enumerate(inst.formula.clauses):
+        cells = inst.q_cells if clause[0] > 0 else inst.p_cells
+        variables = {abs(lit) for lit in clause}
+        if any(len(cell) == 2 * k - 2 and variables <= set(cell) for cell in cells):
+            named.append(i)
+    return named
+
+
+def assert_lemma_holds(k, g, seed):
+    inst = build_instance(GeneratorParams(k, g, seed))
+    named = lemma_clauses(inst, k)
+    report = cells_report(inst)
+    assert [report.deletion_sat[i] for i in named] == [False] * len(named), seed
+    return len(named)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda k: st.tuples(st.just(k), st.integers(1, 3 if k == 4 else 4))),
+    st.integers(0, 2**64 - 1))
+def test_counting_lemma_deletions_are_unsat(kg, seed):
+    assert_lemma_holds(*kg, seed)
+
+
+def test_counting_lemma_at_k5():
+    # about 0.25 s per formula; seeds 2 and 3 name 12 and 2 clauses
+    assert sum(assert_lemma_holds(5, 2, seed) for seed in range(4)) > 0
+
+
 def test_witnesses_verify():
     inst = build_instance(GeneratorParams(3, 5, 4))
     report = cells_report(inst)
@@ -88,7 +126,6 @@ def test_witnesses_verify():
     }
     for i, witness in report.witnesses.items():
         assert evaluate(delete_clause(inst.formula, i), witness)
-    assert cells_report(inst, keep_witnesses=False).witnesses == {}
 
 
 def test_early_exit_stops_at_first_unsat():

@@ -108,6 +108,17 @@ class TestReadDimacs:
             read_dimacs("p cnf 3 1\n5 0\n")
         assert exc.value.line_no == 2
 
+    def test_duplicate_literal_names_its_own_line(self):
+        with pytest.raises(DimacsParseError, match="clause 0: duplicate literal 1") as exc:
+            read_dimacs("c x\np cnf 2 3\n1 1 0\n-1 0\n2 -2 0\n")
+        assert exc.value.line_no == 3
+
+    def test_duplicate_literal_on_a_continuation_line(self):
+        # a clause may span lines; the error names the line of the repeat
+        with pytest.raises(DimacsParseError, match="clause 1: duplicate literal -2") as exc:
+            read_dimacs("p cnf 3 2\n1 0\n-2 3\n-2 0\n")
+        assert exc.value.line_no == 4
+
     def test_malformed_header(self):
         with pytest.raises(DimacsParseError, match="header"):
             read_dimacs("p dnf 3 1\n1 0\n")

@@ -26,12 +26,14 @@ class TestBatchSpec:
     def test_accepts_the_last_64_bit_seeds(self):
         assert BatchSpec(3, 5, 2, 2**64 - 2).base_seed == 2**64 - 2
 
-    def test_rejects_zero_parallelism(self):
-        with pytest.raises(ValueError, match="parallelism"):
-            BatchSpec(3, 5, 1, 1, parallelism=0)
-
 
 class TestRunBatch:
+    def test_rejects_zero_parallelism(self):
+        with pytest.raises(ValueError, match="parallelism must be >= 1, got 0"):
+            run_batch(BatchSpec(3, 5, 1, 1), parallelism=0)
+        with pytest.raises(ValueError, match="parallelism must be >= 1, got -1"):
+            trend_study(3, [5], 1, 1, parallelism=-1)
+
     def test_single_mu_formula_statistics(self):
         # seed chosen so the single formula is MU: degenerate statistics
         stats = run_batch(BatchSpec(2, 1, 1, 3))
@@ -66,7 +68,7 @@ class TestRunBatch:
 
     def test_parallel_matches_serial(self):
         a = run_batch(small_spec(count=4))
-        b = run_batch(small_spec(count=4, parallelism=2))
+        b = run_batch(small_spec(count=4), parallelism=2)
         assert [r.sat_number for r in a.per_formula] == [r.sat_number for r in b.per_formula]
 
     def test_pool_never_larger_than_the_batch(self, monkeypatch):
@@ -91,12 +93,12 @@ class TestRunBatch:
                 pass
 
         monkeypatch.setattr(mucnf.experiment, "ProcessPoolExecutor", FakePool)
-        stats = run_batch(small_spec(count=3, parallelism=8))
+        stats = run_batch(small_spec(count=3), parallelism=8)
         assert sizes == [3]
         assert len(stats.per_formula) == 3
         trend_study(2, [1, 2], 2, 0, parallelism=3)
         assert sizes == [3, 3]
-        run_batch(small_spec(count=1, parallelism=4))  # one formula: no pool
+        run_batch(small_spec(count=1), parallelism=4)  # one formula: no pool
         assert sizes == [3, 3]
 
     def test_polarity_split_rates(self):

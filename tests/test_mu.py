@@ -65,7 +65,7 @@ class TestAnalyzeMu:
 
     def test_witnesses_verify(self):
         f = generate(GeneratorParams(2, 2, 8))
-        report = analyze_mu(f, solve_dpll, keep_witnesses=True)
+        report = analyze_mu(f, solve_dpll)
         assert any(report.deletion_sat)
         for i, witness in report.witnesses.items():
             assert evaluate(delete_clause(f, i), witness)
@@ -80,8 +80,8 @@ class TestAnalyzeMu:
     def test_backend_independence(self):
         for seed in range(5):
             f = generate(GeneratorParams(2, 2, seed))
-            a = analyze_mu(f, solve_dpll, keep_witnesses=False)
-            b = analyze_mu(f, solve_brute_force, keep_witnesses=False)
+            a = analyze_mu(f, solve_dpll)
+            b = analyze_mu(f, solve_brute_force)
             assert a.deletion_sat == b.deletion_sat
             assert a.sat_number == b.sat_number
             assert a.is_mu == b.is_mu
@@ -130,8 +130,8 @@ class TestAnalyzeMu:
 
 def rotation_free(formula, solve, early_exit=False):
     """analyze_mu's deletions with one solve each: the reference for the walk."""
-    return _deletion_report(formula, lambda i, reduced: solve(reduced).model,
-                            early_exit, False)
+    return _deletion_report(formula, lambda i: solve(delete_clause(formula, i)).model,
+                            early_exit)
 
 
 def _unsat_3cnfs(count, seed=5):
@@ -173,7 +173,7 @@ class TestModelRotation:
             calls.append(formula)
             return solve_dpll(formula)
 
-        report = analyze_mu(pigeonhole(holes), counted, keep_witnesses=False)
+        report = analyze_mu(pigeonhole(holes), counted)
         assert report.is_mu is True
         assert len(calls) == solves
 
@@ -187,7 +187,7 @@ class TestModelRotation:
             results.append(solve_dpll(formula))
             return results[-1]
 
-        analyze_mu(pigeonhole(holes), recording, keep_witnesses=False)
+        analyze_mu(pigeonhole(holes), recording)
         assert sum(r.stats.decisions for r in results) == decisions
 
     def test_walk_decides_deletions_whose_solve_times_out(self):
@@ -265,8 +265,8 @@ class TestNegatedClauseUnits:
 
     def test_dpll_and_brute_force_agree_on_random_3cnfs(self):
         for f in _unsat_3cnfs(5):
-            dpll = analyze_mu(f, solve_dpll, keep_witnesses=False)
-            brute = analyze_mu(f, solve_brute_force, keep_witnesses=False)
+            dpll = analyze_mu(f, solve_dpll)
+            brute = analyze_mu(f, solve_brute_force)
             assert dpll.deletion_bitmap() == brute.deletion_bitmap()
 
 

@@ -1,0 +1,8 @@
+"""`python -m mucnf`: the command line of `mucnf.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -172,7 +172,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print("SAT")
                 lits = [v if result.model[v] else -v
                         for v in range(1, formula.num_variables + 1)]
-                print("v " + " ".join(map(str, lits)) + " 0")
+                print("v " + " ".join(map(str, lits + [0])))
             else:
                 print("UNSAT")
             stats = result.stats

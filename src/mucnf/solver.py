@@ -58,52 +58,46 @@ def solve_dpll(formula: CnfFormula, timeout: Optional[float] = None) -> SolveRes
 
     Branching: unassigned variable with the most occurrences in unresolved
     clauses, ties to the lowest index, true tried first. Deterministic.
+
+    Sets of clauses are integers whose bit c stands for clause c: one per
+    literal, of the clauses that hold it, and a stack with one per trail
+    position, of the clauses the trail up to there leaves unresolved.
+    Occurrence counts are bit counts, O(variables) word operations per
+    node, and backtracking truncates the stack. Propagation visits the
+    clauses of a falsified literal in ascending index, so the order of the
+    search, and with it the model and every counter, is that of a plain
+    scan over all clauses at each node.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
     stats = SolveStats()
     clauses = formula.clauses
     n = formula.num_variables
-    m = len(clauses)
 
     if any(len(c) == 0 for c in clauses):
         stats.conflicts = 1
         return SolveResult("unsat", None, stats)
 
-    # occ[lit + n] lists the clause indices containing literal lit
-    occ: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    # occ_bits[lit + n]: bit c is set iff clause c holds literal lit
+    occ_bits = [0] * (2 * n + 1)
     for ci, clause in enumerate(clauses):
         for lit in clause:
-            occ[lit + n].append(ci)
+            occ_bits[lit + n] |= 1 << ci
 
-    sat_count = [0] * m          # true literals per clause
-    free_count = [len(c) for c in clauses]  # unassigned literals per clause
     assign: list[Optional[bool]] = [None] * (n + 1)
     trail: list[int] = []
-    unresolved = [m]             # clauses with sat_count == 0
+    # unresolved[j]: the clauses no literal of trail[:j] satisfies
+    unresolved = [(1 << len(clauses)) - 1]
 
     def set_var(var: int, val: bool) -> None:
         assign[var] = val
         trail.append(var)
-        tl = var if val else -var
-        for ci in occ[tl + n]:
-            if sat_count[ci] == 0:
-                unresolved[0] -= 1
-            sat_count[ci] += 1
-        for ci in occ[n - tl]:
-            free_count[ci] -= 1
+        unresolved.append(unresolved[-1] & ~occ_bits[n + var if val else n - var])
 
     def undo_to(mark: int) -> None:
-        while len(trail) > mark:
-            var = trail.pop()
-            val = assign[var]
+        for var in trail[mark:]:
             assign[var] = None
-            tl = var if val else -var
-            for ci in occ[tl + n]:
-                sat_count[ci] -= 1
-                if sat_count[ci] == 0:
-                    unresolved[0] += 1
-            for ci in occ[n - tl]:
-                free_count[ci] += 1
+        del trail[mark:]
+        del unresolved[mark + 1:]
 
     def propagate(pending: list) -> bool:
         """Drain implied assignments; False on conflict."""
@@ -117,34 +111,42 @@ def solve_dpll(formula: CnfFormula, timeout: Optional[float] = None) -> SolveRes
                 continue
             set_var(var, val)
             stats.propagations += 1
-            fl = -var if val else var
-            for ci in occ[fl + n]:
-                if sat_count[ci] == 0:
-                    fc = free_count[ci]
-                    if fc == 0:
+            # the unresolved clauses that held the literal just made false:
+            # no unassigned literal left is a conflict, one is implied
+            hit = occ_bits[n - var if val else n + var] & unresolved[-1]
+            while hit:
+                low = hit & -hit
+                hit ^= low
+                unit = 0
+                for lit in clauses[low.bit_length() - 1]:
+                    if assign[abs(lit)] is None:
+                        if unit:
+                            break
+                        unit = lit
+                else:
+                    if not unit:
                         stats.conflicts += 1
                         return False
-                    if fc == 1:
-                        for lit in clauses[ci]:
-                            if assign[abs(lit)] is None:
-                                pending.append((abs(lit), lit > 0))
-                                break
+                    pending.append((abs(unit), unit > 0))
         return True
 
     def pures_or_branch() -> tuple:
         """(pure literals, 0), or ([], the most frequent variable, ties to
-        the lowest index), from one occurrence count over unresolved clauses."""
-        count = [0] * (2 * n + 1)  # count[lit + n], like occ
-        for ci in range(m):
-            if sat_count[ci] == 0:
-                for lit in clauses[ci]:
-                    if assign[abs(lit)] is None:
-                        count[lit + n] += 1
-        pures = [(v, count[n + v] > 0) for v in range(1, n + 1)
-                 if (count[n + v] > 0) != (count[n - v] > 0)]
+        the lowest index), from occurrence counts in unresolved clauses."""
+        top = unresolved[-1]
+        pures = []
+        best_var, best = 1, -1
+        for v in range(1, n + 1):
+            if assign[v] is None:
+                pos = (occ_bits[n + v] & top).bit_count()
+                neg = (occ_bits[n - v] & top).bit_count()
+                if (pos > 0) != (neg > 0):
+                    pures.append((v, pos > 0))
+                elif pos + neg > best:
+                    best_var, best = v, pos + neg
         if pures:
             return pures, 0
-        return [], max(range(1, n + 1), key=lambda v: count[n + v] + count[n - v])
+        return [], best_var
 
     def search(pending: list) -> bool:
         """Depth-first search over the trail, with an explicit stack.
@@ -159,7 +161,7 @@ def solve_dpll(formula: CnfFormula, timeout: Optional[float] = None) -> SolveRes
                 raise SolveTimeoutError("DPLL solve exceeded its deadline")
             mark = len(trail)
             while propagate(pending):
-                if unresolved[0] == 0:
+                if not unresolved[-1]:
                     return True
                 pending, branch_var = pures_or_branch()
                 if not pending:

@@ -1,5 +1,9 @@
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,16 @@ class TestGenerate:
         assert "k must be >= 2" in err
 
 
+def test_runs_as_python_module():
+    src = str(Path(mucnf.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "mucnf", "generate", "-k", "2", "-g", "1",
+                           "--seed", "0"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "p cnf 3 6" in proc.stdout
+
+
 class TestSolve:
     def test_generated_instance_unsat(self, tmp_path, capsys):
         path = tmp_path / "f.cnf"
@@ -60,6 +74,17 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[0] == "SAT"
         assert out.splitlines()[1].startswith("v ")
+
+    @pytest.mark.parametrize("text,values", [
+        ("p cnf 0 0\n", "v 0"),
+        ("p cnf 2 1\n1 -2 0\n", "v 1 -2 0"),
+    ])
+    def test_values_line(self, tmp_path, capsys, text, values):
+        path = tmp_path / "f.cnf"
+        path.write_text(text)
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        assert out == f"SAT\n{values}\n"
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.cnf"

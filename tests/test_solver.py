@@ -6,6 +6,7 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mucnf
 from mucnf.cnf import CnfFormula, evaluate
@@ -72,6 +73,18 @@ class TestDpll:
         (lambda: pigeonhole(3), (10, 50, 6), None),
         (lambda: random_kcnf(random.Random(5), 12, 50), (7, 25, 2),
          [1, 2, 3, 4, 9, 10, 11, 12]),
+        (lambda: pigeonhole(6), (1438, 7196, 720), None),
+        (lambda: generate(GeneratorParams(3, 8, 1)), (2778, 19872, 1390), None),
+        (lambda: random_kcnf(random.Random(1), 30, 128), (68, 417, 33),
+         [4, 8, 12, 13, 14, 15, 18, 19, 20, 22, 29]),
+        (lambda: random_kcnf(random.Random(4), 30, 128), (33, 221, 15),
+         [1, 3, 4, 5, 7, 9, 11, 14, 16, 18, 20, 21, 22, 23, 28, 30]),
+        (lambda: random_kcnf(random.Random(5), 30, 128), (34, 192, 18), None),
+        # the tautology (3, -3, 7) adds to the counts of 3, -3 and 7: 7 decisions without it
+        (lambda: CnfFormula(12, random_kcnf(random.Random(3), 12, 40).clauses + ((3, -3, 7),)),
+         (10, 42, 3), [1, 4, 5, 6, 7, 8, 11, 12]),
+        # pure literals are taken after the first decision and again later
+        (lambda: random_kcnf(random.Random(0), 12, 40), (5, 17, 1), [1, 2, 6, 10, 12]),
     ])
     def test_search_order_is_pinned(self, make, stats, true_vars):
         # pinned counters and models: the search keeps its branching order
@@ -82,6 +95,28 @@ class TestDpll:
             assert r.status == "unsat"
         else:
             assert [v for v in range(1, f.num_variables + 1) if r.model[v]] == true_vars
+
+
+@st.composite
+def small_cnfs(draw):
+    """Random clauses of width 0-4 over at most 6 variables; tautologies
+    and empty clauses included."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return CnfFormula(0, tuple(() for _ in range(draw(st.integers(0, 1)))))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(
+        st.lists(lit, max_size=4, unique=True).map(tuple), max_size=20))
+    return CnfFormula(n, tuple(clauses))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_cnfs())
+def test_dpll_verdict_matches_brute_force(f):
+    r = solve_dpll(f)
+    assert r.status == solve_brute_force(f).status
+    if r.is_sat:
+        assert evaluate(f, r.model)
 
 
 class TestBruteForce:

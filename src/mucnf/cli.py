@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import secrets
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_seed(value: Optional[int], flag: str) -> int:
     if value is not None:
         return value
-    seed = secrets.randbits(64)
+    # os.urandom, not secrets: secrets imports hmac and with it OpenSSL's libcrypto
+    seed = int.from_bytes(os.urandom(8), "big")
     print(f"note: {flag} not given; drew {seed}", file=sys.stderr)
     return seed
 

@@ -9,7 +9,6 @@ import contextlib
 import itertools
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, List, Sequence
 
@@ -104,6 +103,9 @@ def _run_specs(specs: Sequence[BatchSpec], parallelism: int) -> List[BatchStats]
     parallelism = min(parallelism, len(jobs))
     with contextlib.ExitStack() as stack:
         if parallelism > 1:
+            # imported here: serial runs never load concurrent.futures or multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallelism))
             # on an error, drop the queued formulas of every row
             stack.callback(pool.shutdown, cancel_futures=True)

@@ -9,9 +9,6 @@ adapter shells out to any DIMACS solver speaking SAT-competition output.
 from __future__ import annotations
 
 import os
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -247,6 +244,11 @@ def solve_external(
     A claimed model is re-verified with evaluate() before being returned;
     a non-verifying model raises SolverIntegrityError, never passes through.
     """
+    # imported here: only external-solver runs need them
+    import shlex
+    import subprocess
+    import tempfile
+
     argv = shlex.split(solver_command)
     fd, path = tempfile.mkstemp(suffix=".cnf", prefix="mucnf-")
     try:

@@ -42,6 +42,13 @@ class TestGenerate:
         code, out, err = run(capsys, "generate", "-k", "2", "-g", "1")
         assert code == 0
         assert "--seed not given; drew" in err
+        note = next(line for line in err.splitlines() if line.startswith("note:"))
+        seed = int(note.rsplit(" ", 1)[1])
+        assert 0 <= seed < 1 << 64
+        # the printed seed reproduces the run
+        code, again, _ = run(capsys, "generate", "-k", "2", "-g", "1", "--seed", str(seed))
+        assert code == 0
+        assert again == out
 
     def test_invalid_k_is_usage_error(self, capsys):
         code, _, err = run(capsys, "generate", "-k", "1", "-g", "5", "--seed", "0")

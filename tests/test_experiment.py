@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import statistics
 
@@ -92,7 +93,8 @@ class TestRunBatch:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr(mucnf.experiment, "ProcessPoolExecutor", FakePool)
+        # _run_specs imports the pool class when it needs one, so patch its home
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         stats = run_batch(small_spec(count=3), parallelism=8)
         assert sizes == [3]
         assert len(stats.per_formula) == 3

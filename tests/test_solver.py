@@ -177,10 +177,23 @@ class TestBruteForce:
 def test_package_imports_without_numpy():
     # numpy is a test-only dependency: importing mucnf must not load it
     src = os.path.dirname(os.path.dirname(mucnf.__file__))
-    code = "import sys, mucnf, mucnf.cli, mucnf.experiment; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+    def loaded(imports):
+        code = f"import sys{imports}; print(' '.join(sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    with_mucnf = loaded(", mucnf, mucnf.cli, mucnf.experiment")
+    assert "numpy" not in with_mucnf
+    # nor the modules only some runs use: OpenSSL (through secrets), the
+    # process pool and subprocess. Counted against a bare interpreter in the
+    # same environment, since site hooks may preload modules of their own.
+    heavy = {"secrets", "hmac", "_hashlib", "concurrent.futures", "multiprocessing",
+             "subprocess", "shlex"}
+    added = with_mucnf - loaded("")
+    assert not added & heavy, sorted(added & heavy)
 
 
 STUB_HONEST = """\

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cnf import CnfFormula, evaluate, negate, read_dimacs, write_dimacs
+from .cnf import CnfFormula, evaluate, read_dimacs, write_dimacs
 from .generator import GeneratorParams, GeneratedInstance, build_instance, generate
 from .solver import SolveResult, solve_brute_force, solve_dpll, solve_external
 from .mu import MuReport, analyze_mu, delete_clause
@@ -18,7 +18,6 @@ __all__ = [
     "delete_clause",
     "evaluate",
     "generate",
-    "negate",
     "read_dimacs",
     "solve_brute_force",
     "solve_dpll",

@@ -31,11 +31,6 @@ class DimacsParseError(ValueError):
         self.line_no = line_no
 
 
-def negate(literal: int) -> int:
-    """Negate a literal. Involution: negate(negate(l)) == l."""
-    return -literal
-
-
 @dataclass(frozen=True)
 class CnfFormula:
     """An immutable CNF: variable count, ordered clauses, comment lines.

@@ -96,10 +96,6 @@ class GeneratedInstance:
     p_cells: Tuple[Cell, ...]
     q_cells: Tuple[Cell, ...]
 
-    @property
-    def num_positive_clauses(self) -> int:
-        return len(self.formula.clauses) // 2
-
 
 def build_instance(params: GeneratorParams) -> GeneratedInstance:
     """Build the formula and its layouts for (k, g, seed); deterministic."""

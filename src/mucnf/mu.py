@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .cnf import Assignment, CnfFormula, evaluate
+from .cnf import Assignment, CnfFormula, PartialAssignmentError, evaluate
 from .solver import SolveResult, SolveTimeoutError, SolverIntegrityError
 
 SolveFn = Callable[[CnfFormula], SolveResult]
@@ -98,8 +98,15 @@ def analyze_mu(
     with another assignment, and it runs at most one step per clause after
     each solved sat deletion. A deletion with a candidate is decided by it
     without a solve, so one whose solve would time out may still be
-    decided. Every witness, the solver's or a rotated candidate, is
-    re-verified with evaluate() before it is trusted, and the report keeps it.
+    decided.
+
+    Every witness, the solver's or a rotated candidate, is checked in place
+    on the clause bitmasks before the report keeps it: it must leave no
+    clause but clause i false, the condition of
+    evaluate(delete_clause(formula, i), witness), with no formula copy. A
+    solver model is read by index, as evaluate() reads it; one that is not
+    total raises PartialAssignmentError, and a failing witness raises
+    SolverIntegrityError naming its deletion.
 
     A deletion that needs a solve is solved under the negation of its
     clause: the formula without clause i plus the unit clause (-l) for each
@@ -126,6 +133,12 @@ def analyze_mu(
     seen: set = set()
     candidates: Dict[int, int] = {}
 
+    def check(i: int, bits: int) -> None:
+        """Raise unless `bits` leaves no clause but clause i false."""
+        for c in range(m):
+            if not bits & pos[c] and bits & neg[c] == neg[c] and c != i:
+                raise SolverIntegrityError(f"non-verifying model for deletion {i}")
+
     def walk(i: int, bits: int) -> None:
         """Rotate the witness `bits` of clause i, for at most m steps."""
         seen.add(bits)
@@ -150,12 +163,17 @@ def analyze_mu(
     def model_for(i: int) -> Optional[Assignment]:
         if i in candidates:
             bits = candidates[i]
+            check(i, bits)
             return {v: bool(bits >> v & 1) for v in range(1, n + 1)}
         # the units of ¬C_i are sound only because `formula` was shown unsat
         # above: then every model of the formula without clause i falsifies it
         units = tuple((-lit,) for lit in clauses[i])
         model = solve(CnfFormula(n, clauses[:i] + clauses[i + 1:] + units)).model
         if model is not None:
+            for v in range(1, n + 1):
+                if v not in model:
+                    raise PartialAssignmentError(v)
+            check(i, sum(1 << v for v in range(1, n + 1) if model[v]))
             walk(i, sum(1 << v for v in range(1, n + 1) if model.get(v)))
         return model
 
@@ -169,11 +187,11 @@ def _deletion_report(
 ) -> MuReport:
     """Decide every deletion, in clause-index order, with `model_for`.
 
-    model_for(i) returns a model of the formula without clause i, or None
-    when it is unsat; a SolveTimeoutError leaves the deletion undecided. A
-    copy of the formula without clause i is built only for a model, which
-    evaluate() re-verifies on it before the report keeps it as the witness.
-    With early_exit the loop stops at the first unsat deletion.
+    model_for(i) returns a model of the formula without clause i, which it
+    has already checked, or None when that formula is unsat; a
+    SolveTimeoutError leaves the deletion undecided. The report keeps every
+    model as the witness of its deletion. With early_exit the loop stops at
+    the first unsat deletion.
     """
     m = len(formula.clauses)
     outcomes: list[Optional[bool]] = [None] * m
@@ -183,15 +201,11 @@ def _deletion_report(
             model = model_for(i)
         except SolveTimeoutError:
             continue
-        if model is None:
-            outcomes[i] = False
-            if early_exit:
-                break
-            continue
-        if not evaluate(delete_clause(formula, i), model):
-            raise SolverIntegrityError(f"non-verifying model for deletion {i}")
-        outcomes[i] = True
-        witnesses[i] = model
+        outcomes[i] = model is not None
+        if model is not None:
+            witnesses[i] = model
+        elif early_exit:
+            break
     return MuReport(tuple(outcomes), witnesses)
 
 
@@ -219,9 +233,11 @@ def analyze_cells(
     and true and false, swapped.
 
     One flow serves every clause with the same side, cell and profile
-    |S ∩ Q_j|. As in analyze_mu, an unsat deletion builds no formula copy,
-    every witness is re-verified with evaluate() and kept in the report,
-    and early_exit stops at the first unsat deletion.
+    |S ∩ Q_j|. An unsat deletion builds no formula copy. Each witness is
+    checked with evaluate() on a copy of the formula without its clause,
+    and a failing one raises SolverIntegrityError naming its deletion. As
+    in analyze_mu, the report keeps every witness, and early_exit stops at
+    the first unsat deletion.
     """
     k = len(formula.clauses[0])
     n = formula.num_variables
@@ -264,6 +280,8 @@ def analyze_cells(
         for (col, row), units in flow.items():
             for v in grids[side][col][row][:units]:
                 witness[v] = not fill
+        if not evaluate(delete_clause(formula, i), witness):
+            raise SolverIntegrityError(f"non-verifying model for deletion {i}")
         return witness
 
     return _deletion_report(formula, model_for, early_exit)

@@ -169,7 +169,7 @@ def test_criterion_6_mu_report_soundness(row1_batch, trend_batches):
 def test_criterion_7_cell_counting():
     inst = build_instance(GeneratorParams(3, 5, 31337))
     n = inst.formula.num_variables
-    half = inst.num_positive_clauses
+    half = len(inst.formula.clauses) // 2
     c1 = CnfFormula(n, inst.formula.clauses[:half])
     c2 = CnfFormula(n, inst.formula.clauses[half:])
     rng = random.Random(7)

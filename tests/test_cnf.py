@@ -1,26 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from mucnf.cnf import (
     CnfFormula,
     DimacsParseError,
     PartialAssignmentError,
     evaluate,
-    negate,
     read_dimacs,
     write_dimacs,
 )
 from mucnf.generator import GeneratorParams, generate
 from tests.conftest import random_kcnf
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_negate_is_involution(v):
-    assert negate(negate(v)) == v
-    assert negate(negate(-v)) == -v
-    assert negate(v) != v
 
 
 class TestCnfFormula:

@@ -223,7 +223,7 @@ class TestCellCountingCharacterization:
         # satisfying the negative half == at most k-1 true per q-cell
         inst = build_instance(GeneratorParams(3, 2, 11))
         n = inst.formula.num_variables
-        half = inst.num_positive_clauses
+        half = len(inst.formula.clauses) // 2
         c1 = CnfFormula(n, inst.formula.clauses[:half])
         c2 = CnfFormula(n, inst.formula.clauses[half:])
         rng = random.Random(13)

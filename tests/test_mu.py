@@ -2,9 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mucnf.cnf import CnfFormula, evaluate
+from mucnf.cnf import CnfFormula, PartialAssignmentError, evaluate
 from mucnf.generator import GeneratorParams, generate
 from mucnf.mu import MuReport, NotUnsatError, _deletion_report, analyze_mu, delete_clause
 from mucnf.solver import (
@@ -292,3 +292,91 @@ def test_dpll_and_brute_force_give_the_same_deletions(f, early_exit):
     brute = analyze_mu(f, solve_brute_force, early_exit=early_exit)
     assert dpll.deletion_sat == brute.deletion_sat
     assert dpll.deletion_sat == rotation_free(f, solve_brute_force, early_exit).deletion_sat
+
+
+def _with_assignment(f):
+    n = f.num_variables
+    return st.tuples(st.just(f), st.lists(st.booleans(), min_size=n, max_size=n))
+
+
+class TestInPlaceWitnessCheck:
+    """analyze_mu checks each witness on its clause bitmasks, with no copy of
+    the formula; evaluate() on the formula without the clause is the
+    reference."""
+
+    ONE_WITNESS = CnfFormula(2, ((1, 2), (-1,), (-2,)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_unsat_cnfs().flatmap(_with_assignment))
+    @example((ONE_WITNESS, [False, False]))
+    @example((ONE_WITNESS, [True, False]))
+    def test_error_iff_evaluate_rejects_the_model(self, case):
+        f, values = case
+        w = dict(enumerate(values, 1))
+        calls = []
+
+        def solve(formula):
+            # call 0 is the whole formula and call 1 the solve of deletion 0,
+            # which no walk can reach first
+            calls.append(formula)
+            result = solve_dpll(formula)
+            return SolveResult("sat", dict(w), result.stats) if len(calls) == 2 else result
+
+        if evaluate(delete_clause(f, 0), w):
+            assert analyze_mu(f, solve).witnesses[0] == w
+        else:
+            with pytest.raises(SolverIntegrityError, match="deletion 0$"):
+                analyze_mu(f, solve)
+
+    def test_later_lie_names_the_lowest_failing_deletion(self):
+        f = scramble(pigeonhole(4), random.Random(4))[0]
+        calls = []
+
+        def lying(formula):
+            # from the second deletion solve on, flip the variable of the
+            # last unit (-l,): l makes the deleted clause true, so, as the
+            # formula is unsat, some other clause is false
+            calls.append(formula)
+            result = solve_dpll(formula)
+            if len(calls) > 2 and result.is_sat:
+                v = abs(formula.clauses[-1][0])
+                result.model[v] = not result.model[v]
+            return result
+
+        with pytest.raises(SolverIntegrityError) as exc:
+            analyze_mu(f, lying)
+        # the deletion whose units the failing solve ended with
+        failing = [i for i, clause in enumerate(f.clauses)
+                   if calls[2].clauses == delete_clause(f, i).clauses
+                   + tuple((-lit,) for lit in clause)]
+        assert len(calls) == 3 and len(failing) == 1 and failing[0] > 0
+        assert str(exc.value) == f"non-verifying model for deletion {failing[0]}"
+
+    def test_solver_model_is_read_by_index(self):
+        class Skewed(dict):
+            def get(self, v, default=None):
+                return not self[v] if v == 1 else self[v]
+
+        def skewing(formula):
+            result = solve_dpll(formula)
+            if result.is_sat:
+                result = SolveResult("sat", Skewed(result.model), result.stats)
+            return result
+
+        # the check reads the solver's model by index, as evaluate() does, so
+        # deletion 0's model passes; the walk reads it through get(), so a
+        # rotated candidate fails later
+        with pytest.raises(SolverIntegrityError) as exc:
+            analyze_mu(pigeonhole(4), skewing)
+        assert str(exc.value) == "non-verifying model for deletion 2"
+
+    def test_partial_model_names_its_lowest_missing_variable(self):
+        def partial(formula):
+            result = solve_dpll(formula)
+            if result.is_sat:
+                del result.model[5], result.model[7]
+            return result
+
+        with pytest.raises(PartialAssignmentError) as exc:
+            analyze_mu(pigeonhole(3), partial)
+        assert exc.value.variable == 5

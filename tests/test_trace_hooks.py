@@ -4,9 +4,10 @@ perfbench/spans.py replaces module attributes of mucnf.cli, mucnf.experiment,
 mucnf.generator and mucnf.mu while a traced round runs (getattr fails on a
 missing one), and perfbench/workloads.py reads FormulaRecord.completed. A
 refactor that drops one of those names breaks `perfbench/run.py --trace 1`;
-these tests break first. The trace must also keep seeing the witness check:
-one delete_clause and one evaluate per sat deletion, and none for an unsat
-one.
+these tests break first. The trace also pins where witnesses are checked:
+analyze_cells calls one delete_clause and one evaluate per sat deletion, and
+none for an unsat one; analyze_mu, under check-mu, checks its witnesses on
+its own clause bitmasks and calls neither.
 """
 
 import dataclasses
@@ -48,12 +49,13 @@ def test_batch_checks_each_sat_deletion_once():
     assert_one_check_per_sat_deletion(tracer, bitmaps)
 
 
-def test_check_mu_checks_each_sat_deletion_once(tmp_path, capsys):
+def test_check_mu_checks_witnesses_without_copies(tmp_path, capsys):
     php = tmp_path / "php5-4.cnf"
     php.write_text(write_dimacs(scramble(pigeonhole(4), random.Random(4))[0]))
     with Tracer().installed() as tracer:
         assert mucnf.cli.main(["check-mu", str(php)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    bitmap = lines[1].removeprefix("deletions: ")
+    bitmap = capsys.readouterr().out.splitlines()[1].removeprefix("deletions: ")
+    assert bitmap == "1" * 45
     assert tracer.calls["mu.analyze_mu"] == 1
-    assert_one_check_per_sat_deletion(tracer, [bitmap])
+    assert tracer.calls["mu.delete_clause"] == 0
+    assert tracer.calls["cnf.evaluate"] == 0

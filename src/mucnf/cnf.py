@@ -37,6 +37,12 @@ class CnfFormula:
 
     Comments carry provenance (generator parameters, seed) and are emitted
     as ``c`` lines in DIMACS output.
+
+    The constructor validates every literal, so a formula is validated once,
+    where it enters the program (read_dimacs, build_instance or a direct
+    call). Formulas derived from a valid one, such as the deletion copies of
+    the mu module, are built with _from_valid, which skips that check: their
+    literals are already known to be valid.
     """
 
     num_variables: int
@@ -61,6 +67,23 @@ class CnfFormula:
                 if lit in seen:
                     raise ValueError(f"clause {ci}: duplicate literal {lit}")
                 seen.add(lit)
+
+    @classmethod
+    def _from_valid(
+        cls, num_variables: int, clauses: Tuple[Clause, ...], comments: Tuple[str, ...] = ()
+    ) -> CnfFormula:
+        """A formula from parts known to be valid, without __post_init__.
+
+        `clauses` must be a tuple of tuples whose literals would pass the
+        constructor's check for `num_variables` (for example, clauses of a
+        formula with that variable count, or their negations), and
+        `comments` a tuple; neither is copied or checked.
+        """
+        formula = object.__new__(cls)
+        object.__setattr__(formula, "num_variables", num_variables)
+        object.__setattr__(formula, "clauses", clauses)
+        object.__setattr__(formula, "comments", comments)
+        return formula
 
     @property
     def num_clauses(self) -> int:

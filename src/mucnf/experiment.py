@@ -35,6 +35,7 @@ class BatchSpec:
         if not 0 <= self.base_seed <= (1 << 64) - self.count:
             raise ValueError(f"base seed {self.base_seed} with count {self.count} "
                              f"leaves the 64-bit seed range [0, 2**64)")
+        GeneratorParams(self.k, self.g, self.base_seed)  # raises on a bad k or g
 
 
 @dataclass

@@ -21,13 +21,17 @@ class NotUnsatError(ValueError):
 
 
 def delete_clause(formula: CnfFormula, index: int) -> CnfFormula:
-    """Formula with clause `index` removed; order and variable count unchanged."""
+    """Formula with clause `index` removed; order and variable count unchanged.
+
+    The copy is not validated again: its clauses are a subset of a formula
+    that was validated when it was built, so they are valid too.
+    """
     if not 0 <= index < len(formula.clauses):
         raise IndexError(
             f"clause index {index} out of range [0, {len(formula.clauses)})"
         )
     clauses = formula.clauses[:index] + formula.clauses[index + 1:]
-    return CnfFormula(formula.num_variables, clauses, formula.comments)
+    return CnfFormula._from_valid(formula.num_variables, clauses, formula.comments)
 
 
 @dataclass
@@ -115,6 +119,8 @@ def analyze_mu(
     verdict and only prune the search. Their models are models of the
     deletion, so the witness check is unchanged, but the solver may return
     other models than without the units, so the witnesses may differ.
+    The formula handed to `solve` is not validated again: the clauses of a
+    valid formula and the negations of their literals are valid.
     model_for(i) takes only the clause index: see _deletion_report.
     """
     base = solve(formula)
@@ -168,7 +174,7 @@ def analyze_mu(
         # the units of ¬C_i are sound only because `formula` was shown unsat
         # above: then every model of the formula without clause i falsifies it
         units = tuple((-lit,) for lit in clauses[i])
-        model = solve(CnfFormula(n, clauses[:i] + clauses[i + 1:] + units)).model
+        model = solve(CnfFormula._from_valid(n, clauses[:i] + clauses[i + 1:] + units)).model
         if model is not None:
             for v in range(1, n + 1):
                 if v not in model:
@@ -234,8 +240,9 @@ def analyze_cells(
 
     One flow serves every clause with the same side, cell and profile
     |S ∩ Q_j|. An unsat deletion builds no formula copy. Each witness is
-    checked with evaluate() on a copy of the formula without its clause,
-    and a failing one raises SolverIntegrityError naming its deletion. As
+    checked with evaluate() on a copy of the formula without its clause
+    (delete_clause, which does not validate the copy again), and a failing
+    one raises SolverIntegrityError naming its deletion. As
     in analyze_mu, the report keeps every witness, and early_exit stops at
     the first unsat deletion.
     """

@@ -4,8 +4,10 @@ import statistics
 
 import pytest
 
+import mucnf.cli
 import mucnf.experiment
 from mucnf.experiment import BatchSpec, format_table, run_batch, trend_study, write_csv
+from mucnf.generator import GeneratorParams
 
 
 def small_spec(**overrides):
@@ -26,6 +28,31 @@ class TestBatchSpec:
 
     def test_accepts_the_last_64_bit_seeds(self):
         assert BatchSpec(3, 5, 2, 2**64 - 2).base_seed == 2**64 - 2
+
+    @pytest.mark.parametrize("k,g,message", [(1, 5, "k must be >= 2, got 1"),
+                                             (3, 0, "g must be >= 1, got 0")])
+    def test_rejects_what_the_generator_rejects(self, k, g, message):
+        with pytest.raises(ValueError) as generator:
+            GeneratorParams(k, g, 0)
+        assert str(generator.value) == message
+        with pytest.raises(ValueError) as spec:
+            BatchSpec(k, g, 2, 0)
+        assert str(spec.value) == message
+
+    def test_bad_k_forks_no_pool(self, monkeypatch, capsys):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for an invalid spec")
+
+        # _run_specs imports the pool class when it needs one, so patch its home
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+            run_batch(BatchSpec(1, 5, 2, 0), parallelism=2)
+        with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+            trend_study(1, [5], 2, 0, parallelism=2)
+        argv = ["experiment", "-k", "1", "-g", "5", "-n", "2", "--parallelism", "2",
+                "--base-seed", "0"]
+        assert mucnf.cli.main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: k must be >= 2, got 1"
 
 
 class TestRunBatch:

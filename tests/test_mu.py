@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mucnf.cnf import CnfFormula, PartialAssignmentError, evaluate
+import mucnf.cli
+from mucnf.cnf import CnfFormula, PartialAssignmentError, evaluate, write_dimacs
+from mucnf.experiment import BatchSpec, run_batch
 from mucnf.generator import GeneratorParams, generate
 from mucnf.mu import MuReport, NotUnsatError, _deletion_report, analyze_mu, delete_clause
 from mucnf.solver import (
@@ -380,3 +382,108 @@ class TestInPlaceWitnessCheck:
         with pytest.raises(PartialAssignmentError) as exc:
             analyze_mu(pigeonhole(3), partial)
         assert exc.value.variable == 5
+
+
+@st.composite
+def valid_cnfs(draw):
+    """Any valid formula over at most 4 variables: comments, empty clauses,
+    repeated clauses and tautologies (v and -v in one clause) included."""
+    n = draw(st.integers(0, 4))
+    lit = st.integers(1, max(n, 1)).flatmap(lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(lit, max_size=4, unique=True).map(tuple) if n else st.just(())
+    clauses = draw(st.lists(clause, max_size=8))
+    repeats = draw(st.lists(st.integers(0, max(len(clauses) - 1, 0)), max_size=3))
+    clauses += [clauses[j] for j in repeats if clauses]
+    comments = draw(st.lists(st.text(max_size=6), max_size=2))
+    # lists in, so the constructor's own tuple conversion is exercised too
+    return CnfFormula(n, [list(c) for c in clauses], comments)
+
+
+@st.composite
+def valid_unsat_cnfs(draw):
+    """valid_cnfs, then one clause blocking each model in turn until nothing
+    satisfies the formula."""
+    f = draw(valid_cnfs())
+    clauses = list(f.clauses)
+    while True:
+        result = solve_brute_force(CnfFormula(f.num_variables, tuple(clauses)))
+        if not result.is_sat:
+            return CnfFormula(f.num_variables, tuple(clauses), f.comments)
+        clauses.append(tuple(-v if result.model[v] else v
+                             for v in range(1, f.num_variables + 1)))
+
+
+def _assert_same_formula(copy, validated):
+    assert copy == validated
+    assert hash(copy) == hash(validated)
+    assert type(copy.clauses) is tuple
+    assert all(type(clause) is tuple for clause in copy.clauses)
+    assert type(copy.comments) is tuple
+
+
+class TestUnvalidatedCopies:
+    """delete_clause and analyze_mu's deletion solves build their formulas
+    without validating them again; each must equal the formula the
+    validating constructor builds from the same parts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_cnfs())
+    def test_delete_clause_equals_the_validated_rebuild(self, f):
+        m = f.num_clauses
+        for i in range(m):
+            expected = CnfFormula(f.num_variables, f.clauses[:i] + f.clauses[i + 1:],
+                                  f.comments)
+            _assert_same_formula(delete_clause(f, i), expected)
+        for i in (m, -1):
+            with pytest.raises(IndexError, match=rf"clause index {i} out of range \[0, {m}\)"):
+                delete_clause(f, i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_unsat_cnfs(), st.booleans())
+    # deleting (3, -3) solves with the units (-3,) and (3,): valid, but conflicting
+    @example(TestNegatedClauseUnits.EDGE_CASES["tautology"], False)
+    def test_analyze_mu_solves_only_valid_formulas(self, f, early_exit):
+        handed = []
+
+        def recording(formula):
+            handed.append(formula)
+            _assert_same_formula(formula, CnfFormula(formula.num_variables, formula.clauses,
+                                                     formula.comments))
+            return solve_brute_force(formula)
+
+        analyze_mu(f, recording, early_exit=early_exit)
+        assert handed[0] is f
+
+
+class TestValidateOnce:
+    """Every formula is validated once, where it enters the program; the
+    copies derived from it are not validated again."""
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        counted = []
+        post_init = CnfFormula.__post_init__
+
+        def counting(formula):
+            counted.append(formula)
+            post_init(formula)
+
+        monkeypatch.setattr(CnfFormula, "__post_init__", counting)
+        return counted
+
+    def test_batch_validates_each_generated_instance(self, validations):
+        stats = run_batch(BatchSpec(3, 5, 3, 0))
+        assert len(validations) == 3
+        assert [f.comments[1] for f in validations] == [
+            f"params: k=3 g=5 seed={r.seed}" for r in stats.per_formula]
+        # the sat deletions' checks built copies, and none was validated
+        assert sum(r.deletion_bitmap.count("1") for r in stats.per_formula) > 0
+
+    def test_check_mu_validates_only_the_parsed_file(self, tmp_path, capsys, validations):
+        php = tmp_path / "php5-4.cnf"
+        php.write_text(write_dimacs(scramble(pigeonhole(4), random.Random(4))[0]))
+        validations.clear()
+        assert mucnf.cli.main(["check-mu", "--backend", "dpll", str(php)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "MU: yes, satisfiability number 45/45"
+        assert len(validations) == 1
+        assert validations[0].num_clauses == 45
